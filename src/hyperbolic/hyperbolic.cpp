@@ -89,8 +89,8 @@ std::vector<HypPoint> HypGrid::chunk_points(u32 a, u64 chunk) const {
 
     const double c_begin = chunk_begin(chunk);
     const double c_width = chunk_width() / static_cast<double>(cells);
-    const double r_lo    = annulus_lower(a);
-    const double r_hi    = annulus_upper(a);
+    const double cosh_lo = std::cosh(space_.alpha() * annulus_lower(a));
+    const double cosh_hi = std::cosh(space_.alpha() * annulus_upper(a));
     u64 next_id = annulus_first_id(a) + node.prefix;
     std::vector<std::pair<double, double>> cell_pts; // (theta, radius)
     for (u64 cell = 0; cell < cells; ++cell) {
@@ -100,7 +100,7 @@ std::vector<HypPoint> HypGrid::chunk_points(u32 a, u64 chunk) const {
         for (u64 i = 0; i < cell_count[cell]; ++i) {
             const double theta =
                 c_begin + (static_cast<double>(cell) + rng.uniform()) * c_width;
-            const double r = space_.inv_radial(r_lo, r_hi, rng.uniform());
+            const double r = space_.inv_radial_cosh(cosh_lo, cosh_hi, rng.uniform());
             cell_pts.emplace_back(theta, r);
         }
         // Sort inside the cell so ids are angle-monotone within the chunk —

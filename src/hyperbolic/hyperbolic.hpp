@@ -73,18 +73,33 @@ public:
 
     /// Inverse radial cdf restricted to [a, b): maps u in [0,1).
     double inv_radial(double a, double b, double u) const {
-        const double ca = std::cosh(alpha_ * a);
-        const double cb = std::cosh(alpha_ * b);
-        return std::acosh(ca + u * (cb - ca)) / alpha_;
+        return inv_radial_cosh(std::cosh(alpha_ * a), std::cosh(alpha_ * b), u);
     }
+    /// `inv_radial` with the band's cosh(α·a) and cosh(α·b) precomputed, for
+    /// loops that draw many radii from one band.
+    double inv_radial_cosh(double cosh_a, double cosh_b, double u) const {
+        return std::acosh(cosh_a + u * (cosh_b - cosh_a)) / alpha_;
+    }
+
+    /// A radius with its cosh/sinh, so a query loop evaluates the
+    /// transcendentals of each radius once instead of once per window.
+    struct Radius {
+        double r;
+        double cosh_r;
+        double sinh_r;
+    };
+    static Radius radius_of(double r) { return {r, std::cosh(r), std::sinh(r)}; }
 
     /// Maximum angular deviation of a neighbour at radius `b` from a point
     /// at radius `r` (Eq. A.3); the query overestimate uses the annulus'
     /// lower boundary for `b`.
     double delta_theta(double r, double b) const {
-        if (r + b < radius_) return std::numbers::pi;
-        const double num = std::cosh(r) * std::cosh(b) - cosh_r_;
-        const double den = std::sinh(r) * std::sinh(b);
+        return delta_theta(radius_of(r), radius_of(b));
+    }
+    double delta_theta(const Radius& r, const Radius& b) const {
+        if (r.r + b.r < radius_) return std::numbers::pi;
+        const double num = r.cosh_r * b.cosh_r - cosh_r_;
+        const double den = r.sinh_r * b.sinh_r;
         if (den <= 0.0) return std::numbers::pi;
         return std::acos(std::clamp(num / den, -1.0, 1.0));
     }

@@ -151,7 +151,7 @@ struct Config {
     /// Edge-stream semantics (sink/ownership.hpp). `as_generated` keeps the
     /// paper's per-chunk redundancy: the incident-edge models (undirected
     /// ER/Gnp, RGG, RDG, in-memory RHG) emit every cross-chunk edge on both
-    /// owning chunks. `exact_once` filters each chunk's stream to the edges
+    /// owning chunks. `exact_once` restricts each chunk's stream to the edges
     /// whose canonical lower endpoint the chunk owns, so across all chunks
     /// every edge appears exactly once — with zero communication, and
     /// bit-deterministically for every (P, K, threads) combination once
@@ -299,9 +299,10 @@ inline u64 num_vertices(const Config& cfg) {
 /// cross-chunk duplicate edges (the §4.2/§5.1 redundancy trick): every edge
 /// crossing a chunk boundary is recomputed — identically — by both owning
 /// chunks. These are exactly the models `EdgeSemantics::exact_once`
-/// filters; the rest (directed ER/Gnp, both RHG-streaming and the
-/// partition-output BA/R-MAT) already emit globally disjoint streams and
-/// pass through unfiltered, byte-identically.
+/// de-duplicates — by the ownership filter, or for in-memory Rhg by a
+/// one-direction query that emits only the owned edges; the rest (directed
+/// ER/Gnp, RHG-streaming and the partition-output BA/R-MAT) already emit
+/// globally disjoint streams and are byte-identical under both semantics.
 inline bool carries_duplicates(Model model) {
     switch (model) {
         case Model::GnmUndirected:
@@ -403,7 +404,7 @@ inline void dispatch_generate(const Config& cfg, u64 rank, u64 size, EdgeSink& s
             break;
         case Model::Rhg:
             rhg::generate_inmemory({cfg.n, cfg.avg_deg, cfg.gamma, cfg.seed}, rank,
-                                   size, sink);
+                                   size, sink, cfg.edge_semantics);
             break;
         case Model::RhgStreaming:
             rhg::generate_streaming({cfg.n, cfg.avg_deg, cfg.gamma, cfg.seed}, rank,
@@ -427,16 +428,17 @@ inline void dispatch_generate(const Config& cfg, u64 rank, u64 size, EdgeSink& s
 
 /// Streams the edges PE `rank` of `size` is responsible for into `sink`
 /// (flushed, not finished — the caller owns the sink lifecycle). Under
-/// `cfg.edge_semantics == exact_once` the duplicate-carrying models are
-/// wrapped in a per-chunk `OwnershipFilterSink`, so the streams of all
-/// ranks are globally disjoint and their union is the graph — each rank
-/// still a pure function of (cfg, rank, size), no communication.
+/// `cfg.edge_semantics == exact_once` the streams of all ranks are globally
+/// disjoint and their union is the graph — each rank still a pure function
+/// of (cfg, rank, size), no communication. The duplicate-carrying models get
+/// there through a per-chunk `OwnershipFilterSink`; in-memory Rhg takes the
+/// semantics itself, since its query loop can emit only the owned edges.
 inline void generate(const Config& cfg, u64 rank, u64 size, EdgeSink& sink) {
     if (size == 0 || rank >= size) {
         throw std::invalid_argument("kagen::generate: rank/size out of range");
     }
     if (cfg.edge_semantics == EdgeSemantics::exact_once &&
-        carries_duplicates(cfg.model)) {
+        carries_duplicates(cfg.model) && cfg.model != Model::Rhg) {
         OwnershipFilterSink filter(owned_vertex_intervals(cfg, rank, size), sink);
         detail::dispatch_generate(cfg, rank, size, filter);
         filter.finish(); // drains the filter and flushes `sink`; no more
@@ -485,8 +487,8 @@ struct ChunkStats {
 /// Under the default `as_generated` semantics, models whose per-PE output
 /// carries intentional cross-PE duplicates (undirected ER/Gnp, Rgg, Rdg,
 /// in-memory Rhg) keep them here chunk-for-chunk; with
-/// `cfg.edge_semantics = exact_once` each chunk's stream is
-/// ownership-filtered so the whole run emits every edge exactly once —
+/// `cfg.edge_semantics = exact_once` each chunk's stream is reduced to its
+/// owned edges (see generate) so the whole run emits every edge exactly once —
 /// counting/stats/file sinks then see the true graph with no post-hoc
 /// dedup pass. The caller owns sink.finish().
 inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sink,

@@ -1,8 +1,8 @@
 #include "rhg/rhg.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numbers>
+#include <unordered_map>
 
 #include "sink/sinks.hpp"
 
@@ -13,14 +13,16 @@ constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 /// Memoizing accessor for recomputed chunks (the §7.1 "recompute non-local
 /// chunks encountered during the search and store them for future
-/// searches").
+/// searches"). Keyed by (annulus, chunk) packed into one word; a dense
+/// annuli × P table would grow with P, the cache only with the chunks a
+/// query actually touches. Lookups only — never iterated.
 class ChunkCache {
 public:
     explicit ChunkCache(const hyp::HypGrid& grid) : grid_(grid) {}
 
     const std::vector<hyp::HypPoint>& get(u32 annulus, u64 chunk) {
-        const auto key = std::make_pair(annulus, chunk);
-        auto it        = cache_.find(key);
+        const u64 key = chunk * grid_.num_annuli() + annulus;
+        auto it       = cache_.find(key);
         if (it == cache_.end()) {
             it = cache_.emplace(key, grid_.chunk_points(annulus, chunk)).first;
         }
@@ -29,12 +31,12 @@ public:
 
 private:
     const hyp::HypGrid& grid_;
-    std::map<std::pair<u32, u64>, std::vector<hyp::HypPoint>> cache_;
+    std::unordered_map<u64, std::vector<hyp::HypPoint>> cache_;
 };
 
-/// Invokes `fn(u)` for every point of annulus `a` whose angle lies within
-/// [center - width, center + width] (mod 2π). Exploits the chunk points'
-/// angle order via binary search.
+/// Invokes `fn(u, c)` for every point `u` of annulus `a` whose angle lies
+/// within [center - width, center + width] (mod 2π), `c` being u's chunk.
+/// Exploits the chunk points' angle order via binary search.
 template <typename F>
 void for_candidates(ChunkCache& cache, const hyp::HypGrid& grid, u32 a, double center,
                     double width, F&& fn) {
@@ -47,7 +49,7 @@ void for_candidates(ChunkCache& cache, const hyp::HypGrid& grid, u32 a, double c
                                        [](const hyp::HypPoint& p, double v) {
                                            return p.theta < v;
                                        });
-            for (; it != pts.end() && it->theta <= hi; ++it) fn(*it);
+            for (; it != pts.end() && it->theta <= hi; ++it) fn(*it, c);
         }
     };
     if (width >= std::numbers::pi) {
@@ -93,34 +95,42 @@ u32 first_streaming_annulus(const hyp::HypGrid& grid) {
     return grid.num_annuli(); // everything global
 }
 
-void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink) {
+void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink,
+                       EdgeSemantics semantics) {
     const hyp::HypGrid grid(params, size);
-    const auto& space = grid.space();
+    const auto& space      = grid.space();
+    const u32 num_annuli   = grid.num_annuli();
+    const bool partitioned = semantics == EdgeSemantics::as_generated;
     ChunkCache cache(grid);
 
-    EdgeList edges;
-    for (u32 a = 0; a < grid.num_annuli(); ++a) {
+    std::vector<hyp::Space::Radius> lower(num_annuli);
+    for (u32 j = 0; j < num_annuli; ++j) {
+        lower[j] = hyp::Space::radius_of(grid.annulus_lower(j));
+    }
+
+    for (u32 a = 0; a < num_annuli; ++a) {
         for (const auto& v : cache.get(a, rank)) {
-            // Annulus-wise query, inward and outward (§7.1): the angular
-            // window is the Lemma-10 overestimate from the annulus' lower
-            // boundary; non-local chunks are recomputed via the cache.
-            for (u32 j = 0; j < grid.num_annuli(); ++j) {
-                const double width = space.delta_theta(v.r, grid.annulus_lower(j));
+            const auto rv = hyp::Space::radius_of(v.r);
+            // Annulus-wise query (§7.1) with the Lemma-10 window from each
+            // annulus' lower boundary. Ids are annulus-major, so querying
+            // annuli j >= a and keeping u.id > v.id finds every edge exactly
+            // once, from its lower-id endpoint — the exact_once owner. The
+            // partitioned output also needs the edges whose lower endpoint
+            // lies in another chunk: those come from annuli j <= a.
+            for (u32 j = partitioned ? 0 : a; j < num_annuli; ++j) {
+                const double width = space.delta_theta(rv, lower[j]);
                 for_candidates(cache, grid, j, v.theta, width,
-                               [&](const hyp::HypPoint& u) {
-                                   if (u.id != v.id && space.edge(u, v)) {
-                                       edges.emplace_back(std::min(u.id, v.id),
-                                                          std::max(u.id, v.id));
+                               [&](const hyp::HypPoint& u, u64 c) {
+                                   if (u.id > v.id) {
+                                       if (space.edge(u, v)) sink.emit(v.id, u.id);
+                                   } else if (partitioned && c != rank &&
+                                              space.edge(u, v)) {
+                                       sink.emit(u.id, v.id);
                                    }
                                });
             }
         }
     }
-    // Each local pair was found from both endpoints; dedupe locally before
-    // streaming out (the query loop cannot know an edge is new until the
-    // whole annulus sweep is over).
-    sort_unique(edges);
-    for (const auto& [u, v] : edges) sink.emit(u, v);
     sink.flush();
 }
 

@@ -6,9 +6,13 @@
 ///
 ///  * `generate_inmemory` (§7.1, "RHG") — query-centric: each PE generates
 ///    its chunk's vertices, then for every vertex performs an annulus-wise
-///    neighbourhood query (outward *and* inward), recomputing non-local
-///    chunks on demand through a chunk cache. Produces a partitioned output:
-///    every edge incident to a local vertex is emitted locally.
+///    neighbourhood query, recomputing non-local chunks on demand through a
+///    chunk cache, and streams each edge to the sink the moment it is found.
+///    Querying only the vertex's own and outer annuli finds every edge once,
+///    from its lower-id endpoint (exact_once by construction); the default
+///    partitioned output (§7.1: every edge incident to a local vertex is
+///    emitted locally) adds the edges whose lower endpoint is non-local,
+///    found from the local endpoint's query of its own and inner annuli.
 ///
 ///  * `generate_streaming` (§7.2, "sRHG") — request-centric: annuli split
 ///    into lower *global* annuli (requests wider than a chunk; their
@@ -29,10 +33,14 @@
 
 namespace kagen::rhg {
 
-/// In-memory query-centric generator (§7.1). The sink overload streams the
-/// PE's (locally deduplicated) edges; the EdgeList overload wraps a
-/// MemorySink — both orderings and contents are bit-identical.
-void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink);
+/// In-memory query-centric generator (§7.1). Streams the PE's edges, each
+/// canonical (min, max) and none repeated, in query order (not sorted):
+///  * `as_generated` — every edge incident to a local vertex (partitioned);
+///  * `exact_once` — the edges whose lower endpoint is local, i.e. exactly
+///    the `owned_vertex_intervals` share; the PEs' streams are disjoint.
+/// The EdgeList overload wraps a MemorySink around the as_generated stream.
+void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink,
+                       EdgeSemantics semantics = EdgeSemantics::as_generated);
 EdgeList generate_inmemory(const hyp::Params& params, u64 rank, u64 size);
 
 /// Streaming request-centric generator (§7.2).
@@ -45,6 +53,8 @@ EdgeList brute_force(const hyp::Params& params, u64 size);
 /// Exact-once ownership for the *in-memory* generator (sink/ownership.hpp):
 /// ids are assigned annulus-major, so angular chunk `rank` owns one id
 /// interval per annulus — O(log n) intervals, each an O(log P) grid query.
+/// `generate_inmemory` under exact_once emits exactly these edges without a
+/// filter; the table stays the reference its tests and benches check against.
 /// The streaming generator needs no filter: its request-execution rules
 /// already hand every edge to exactly one PE (its per-PE outputs are
 /// globally disjoint), which `tests/test_exact_once.cpp` asserts.

@@ -23,7 +23,10 @@
 /// `OwnershipFilterSink` implements the tie-break as a per-chunk emission
 /// filter: it wraps the chunk's target sink and forwards only the edges
 /// whose lower endpoint falls into the chunk's owned id intervals. The
-/// per-model interval builders live with their generators
+/// in-memory RHG needs no filter: its query loop can find each edge from
+/// the lower endpoint only, so it emits exactly the owned share itself and
+/// its interval table serves as the reference that stream is checked
+/// against. The per-model interval builders live with their generators
 /// (`er::owned_vertex_range`, `rgg::owned_vertex_range`,
 /// `rdg::owned_vertex_range`, `rhg::owned_vertex_intervals`,
 /// `sbm::owned_vertex_range`); `kagen::owned_vertex_intervals` in kagen.hpp
@@ -43,7 +46,7 @@ namespace kagen {
 enum class EdgeSemantics {
     as_generated, ///< the paper's per-chunk output: cross-chunk edges of the
                   ///< incident-edge models appear on both owners (legacy)
-    exact_once,   ///< ownership-filtered: across all chunks, every edge is
+    exact_once,   ///< owned share only: across all chunks, every edge is
                   ///< emitted exactly once (lower-endpoint tie-break)
 };
 

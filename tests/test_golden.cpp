@@ -2,9 +2,10 @@
 // a distribution — PR after PR may rearrange the engines, but the default
 // (v1) output for a pinned (model, params, seed, rank, size) must never
 // move by a single byte, or silently re-generated datasets stop matching
-// published ones. These fixtures freeze small instances of the ER family
-// and one geometric model; the byte-identity sweeps in test_er/test_dist
-// cover self-consistency, this suite covers consistency *across commits*.
+// published ones. These fixtures freeze small instances of the ER family,
+// one geometric model and the in-memory RHG; the byte-identity sweeps in
+// test_er/test_dist cover self-consistency, this suite covers consistency
+// *across commits*.
 //
 // Fixture format: u64 edge count, then count x (u64 u, u64 v), little
 // endian, exactly as the edge list falls out of generate().
@@ -34,6 +35,9 @@ struct GoldenCase {
     u64 seed;
     u64 rank;
     u64 size;
+    double avg_deg = 8.0; // rhg models
+    double gamma   = 3.0; // rhg models
+    EdgeSemantics semantics = EdgeSemantics::as_generated;
 };
 
 // Small on purpose: a few thousand edges pin the stream just as hard as a
@@ -47,6 +51,10 @@ const GoldenCase kCases[] = {
      0.001, 0.0, 11, 0, 2},
     {"rgg2d_n4096_r0.02_s13_r0of2.bin", Model::Rgg2D, 4096, 0, 0.0, 0.02, 13,
      0, 2},
+    // The in-memory RHG's exact_once stream in query order: edges leave the
+    // annulus query loop unsorted, so this pins the loop, not just the set.
+    {"rhg_n2048_d8_g2.8_s7_r1of4_exact_once.bin", Model::Rhg, 2048, 0, 0.0, 0.0,
+     7, 1, 4, 8.0, 2.8, EdgeSemantics::exact_once},
 };
 
 std::string golden_path(const char* file) {
@@ -75,6 +83,9 @@ EdgeList generate_case(const GoldenCase& c) {
     cfg.p     = c.p;
     cfg.r     = c.r;
     cfg.seed  = c.seed;
+    cfg.avg_deg        = c.avg_deg;
+    cfg.gamma          = c.gamma;
+    cfg.edge_semantics = c.semantics;
     // sampler_version stays at the default: golden files pin v1.
     return generate(cfg, c.rank, c.size).edges;
 }

@@ -9,8 +9,11 @@
 
 #include "graph/stats.hpp"
 #include "hyperbolic/hyperbolic.hpp"
+#include "kagen.hpp"
 #include "pe/pe.hpp"
 #include "rhg/rhg.hpp"
+#include "sink/ownership.hpp"
+#include "sink/sinks.hpp"
 #include "testing.hpp"
 
 namespace kagen {
@@ -24,6 +27,13 @@ struct RhgCase {
 };
 
 class RhgBoth : public ::testing::TestWithParam<RhgCase> {};
+
+/// The edges of `edges` sorted, with repeats kept: equal to its set iff no
+/// edge is repeated.
+EdgeList sorted(EdgeList edges) {
+    std::sort(edges.begin(), edges.end());
+    return edges;
+}
 
 TEST_P(RhgBoth, InMemoryUnionEqualsBruteForce) {
     const auto [n, d, g, P] = GetParam();
@@ -41,6 +51,40 @@ TEST_P(RhgBoth, StreamingUnionEqualsBruteForce) {
         return rhg::generate_streaming(params, rank, size);
     });
     EXPECT_EQ(pe::union_undirected(per_pe), rhg::brute_force(params, P));
+}
+
+TEST_P(RhgBoth, InMemoryExactOnceOwnsByConstruction) {
+    // The exact_once query loop emits, unfiltered, exactly the share the
+    // ownership filter would keep from the partitioned stream: each edge
+    // once, from the chunk owning its lower endpoint.
+    const auto [n, d, g, P] = GetParam();
+    Config cfg;
+    cfg.model   = Model::Rhg;
+    cfg.n       = n;
+    cfg.avg_deg = d;
+    cfg.gamma   = g;
+    cfg.seed    = 5;
+    EdgeList all;
+    for (u64 rank = 0; rank < P; ++rank) {
+        SCOPED_TRACE("rank " + std::to_string(rank) + " of " + std::to_string(P));
+        const IdIntervals owned = owned_vertex_intervals(cfg, rank, P);
+
+        cfg.edge_semantics = EdgeSemantics::as_generated;
+        MemorySink kept;
+        OwnershipFilterSink filter(owned, kept);
+        generate(cfg, rank, P, filter);
+        filter.finish();
+
+        cfg.edge_semantics   = EdgeSemantics::exact_once;
+        const EdgeList edges = generate(cfg, rank, P).edges;
+        EXPECT_EQ(sorted(edges), undirected_set(edges)) << "an edge is repeated";
+        EXPECT_EQ(undirected_set(edges), undirected_set(kept.edges()));
+        for (const auto& [u, v] : edges) {
+            EXPECT_TRUE(owns_vertex(owned, std::min(u, v))) << u << "-" << v;
+        }
+        append(all, edges);
+    }
+    EXPECT_EQ(sorted(all), rhg::brute_force({n, d, g, 5}, P));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -228,7 +272,7 @@ TEST(RhgGenerators, DeterministicPerRank) {
 
 TEST(RhgGenerators, InMemoryOutputIsPartitioned) {
     // §7.1: the in-memory generator emits every edge incident to a local
-    // vertex on that vertex's PE.
+    // vertex on that vertex's PE — each exactly once, and nothing else.
     const hyp::Params params{1500, 10, 2.9, 17};
     constexpr u64 P = 4;
     const hyp::HypGrid grid(params, P);
@@ -241,11 +285,15 @@ TEST(RhgGenerators, InMemoryOutputIsPartitioned) {
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
         return rhg::generate_inmemory(params, rank, size);
     });
-    std::vector<std::set<Edge>> sets(P);
-    for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
+    std::vector<EdgeList> incident(P);
     for (const auto& e : pe::union_undirected(per_pe)) {
-        EXPECT_TRUE(sets[owner[e.first]].count(e));
-        EXPECT_TRUE(sets[owner[e.second]].count(e));
+        incident[owner[e.first]].push_back(e);
+        if (owner[e.second] != owner[e.first]) incident[owner[e.second]].push_back(e);
+    }
+    for (u64 r = 0; r < P; ++r) {
+        EXPECT_EQ(sorted(per_pe[r]), undirected_set(per_pe[r]))
+            << "rank " << r << " repeats an edge";
+        EXPECT_EQ(undirected_set(per_pe[r]), undirected_set(incident[r])) << "rank " << r;
     }
 }
 
