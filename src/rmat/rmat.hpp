@@ -2,14 +2,16 @@
 /// \brief R-MAT recursive-matrix generator (Chakrabarti et al. [3]),
 ///        the Graph 500 baseline the paper benchmarks against (§3.5.2, §8.6.1).
 ///
-/// Each of the m edges is sampled independently by recursively descending
-/// the adjacency matrix's quadrants with probabilities (a, b, c, d),
-/// a+b+c+d = 1, for log2(n) levels — Θ(m log n) work and Θ(log n) random
-/// variates per edge, which is exactly why the paper's generators (O(1)
-/// variates per edge) outrun it by an order of magnitude.
+/// Each of the m edges independently descends log2(n) levels of the
+/// adjacency matrix's quadrants with probabilities (a, b, c, d),
+/// a+b+c+d = 1. Following the linear-work scheme of Hübschle-Schneider &
+/// Sanders, one draw samples five levels at once from a Vose alias table
+/// over all 4^5 five-level quadrant paths (16 KiB, built once per call on
+/// the stack), so an edge costs ⌈log2(n) / 5⌉ draws and no floating point.
 ///
-/// Edges are derived from a counter-based pseudorandom stream keyed by the
-/// edge index, so the edge list is independent of the PE count (like the
+/// The draws come from one SplitMix64 sequence keyed by the seed; edge i
+/// owns draws i·D+1 … i·D+D with D = ⌈log2(n) / 5⌉, so any edge is O(1) to
+/// reach and the edge list is independent of the PE count (like the
 /// Graph 500 reference implementation). Self-loops and duplicates are kept,
 /// Graph 500 style.
 #pragma once
@@ -31,6 +33,8 @@ struct Params {
 
 /// The edges with indices in `rank`'s block of [0, m). The sink overload
 /// streams them in index order; the EdgeList overload wraps a MemorySink.
+/// Throws std::invalid_argument when a, b or c is negative or NaN, or when
+/// a + b + c > 1 (beyond 1e-12 of rounding).
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
 EdgeList generate(const Params& params, u64 rank, u64 size);
 

@@ -22,7 +22,8 @@
 // per chunk inside `generate`); the model runs suppress counting inside the
 // generator call only — emit/consume/deliver on the worker threads outside
 // it stay measured. The synthetic run uses an allocation-free ChunkFn with
-// no suppression at all, gating the full engine end to end.
+// no suppression at all, gating the full engine end to end; so does the
+// R-MAT run, whose generator makes no heap allocation.
 //
 // Skipped under ASan/TSan: sanitizer runtimes replace operator new and
 // allocate internally, so interposition counts would measure the sanitizer.
@@ -299,6 +300,59 @@ TEST(AllocGate, GnmPipelineIndependentOfChunksAndEdges) {
         << "G(n,m): allocations scale with chunks";
     EXPECT_TRUE(counts_close(base, more_edges))
         << "G(n,m): allocations scale with edges";
+    std::remove(path.c_str());
+}
+
+TEST(AllocGate, RmatPipelineIndependentOfChunksAndEdges) {
+    KAGEN_ALLOC_GATE_SKIP();
+    pe::ThreadPool pool(2);
+    pe::ChunkBufferPool arena;
+    prewarm_arena(arena, 128);
+
+    Config cfg;
+    cfg.model = Model::Rmat;
+    cfg.n     = 4096;
+    cfg.m     = 16000;
+    cfg.seed  = 7;
+    Config cfg4m = cfg;
+    cfg4m.m      = 64000;
+
+    const std::string path = std::string("/tmp/kagen_alloc_gate_rmat_") +
+                             std::to_string(::getpid()) + ".bin";
+    const auto make_sink = [&path] {
+        return std::make_unique<BinaryFileSink>(path);
+    };
+
+    // Not suppressed: R-MAT keeps its alias table on the stack, so the
+    // generator itself is under the gate, not only the pipeline around it.
+    const auto unsuppressed = [](Config c) -> pe::ChunkFn {
+        return [c](u64 chunk, u64 num_chunks, EdgeSink& sink) {
+            generate(c, chunk, num_chunks, sink);
+        };
+    };
+    const pe::ChunkFn fn    = unsuppressed(cfg);
+    const pe::ChunkFn fn_4m = unsuppressed(cfg4m);
+
+    { // warm-up at the largest scale, unarmed
+        BinaryFileSink warm(path);
+        pe::ChunkOptions opt;
+        opt.num_pes       = 4;
+        opt.chunks_per_pe = 3;
+        opt.total_chunks  = 48;
+        opt.threads       = 3;
+        opt.pool          = &pool;
+        opt.arena         = &arena;
+        pe::run_chunked(opt, fn_4m, warm);
+        warm.finish();
+    }
+
+    const auto base        = max_count(pool, arena, 12, fn, make_sink);
+    const auto more_chunks = max_count(pool, arena, 48, fn, make_sink);
+    const auto more_edges  = max_count(pool, arena, 12, fn_4m, make_sink);
+    EXPECT_TRUE(counts_close(base, more_chunks))
+        << "R-MAT: allocations scale with chunks";
+    EXPECT_TRUE(counts_close(base, more_edges))
+        << "R-MAT: allocations scale with edges";
     std::remove(path.c_str());
 }
 

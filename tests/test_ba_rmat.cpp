@@ -1,10 +1,13 @@
 // Barabási–Albert and R-MAT generators: PE-count invariance (the BA output
 // is bit-identical for every P), preferential-attachment statistics,
-// R-MAT quadrant distribution and skew.
+// R-MAT quadrant distribution per level, skew and parameter validation.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "ba/ba.hpp"
 #include "graph/stats.hpp"
@@ -148,6 +151,82 @@ TEST(Rmat, EdgeAtMatchesGenerate) {
     for (u64 i = 0; i < params.m; i += 37) {
         EXPECT_EQ(edges[i], rmat::edge_at(params, i));
     }
+}
+
+// Every recursion level of every edge is an independent (a, b, c, d) draw,
+// whether it comes from a full five-level path, from the partial last draw
+// (log_n = 1, 3, 12) or straddles two draws. Each level's quadrant counts,
+// and the joint counts of every pair of levels (same draw or not), are
+// tested against the product law.
+class RmatLevels : public ::testing::TestWithParam<u64> {};
+
+TEST_P(RmatLevels, QuadrantFrequenciesMatchParametersAtEveryLevel) {
+    const u64 log_n = GetParam();
+    const rmat::Params params{log_n, 100000, 0.45, 0.22, 0.18, 61 + log_n};
+    const std::array<double, 4> prob{params.a, params.b, params.c,
+                                     1.0 - (params.a + params.b + params.c)};
+    const auto quadrant = [&](const Edge& e, u64 level) {
+        const u64 bit = log_n - 1 - level;
+        return static_cast<int>(((e.first >> bit) & 1) * 2 + ((e.second >> bit) & 1));
+    };
+
+    std::vector<std::vector<double>> single(log_n, std::vector<double>(4, 0.0));
+    std::vector<std::vector<double>> pairs(log_n * log_n, std::vector<double>(16, 0.0));
+    for (const Edge& e : rmat::generate(params, 0, 1)) {
+        for (u64 i = 0; i < log_n; ++i) {
+            single[i][quadrant(e, i)] += 1.0;
+            for (u64 j = i + 1; j < log_n; ++j) {
+                pairs[i * log_n + j][4 * quadrant(e, i) + quadrant(e, j)] += 1.0;
+            }
+        }
+    }
+
+    const double m = static_cast<double>(params.m);
+    std::vector<double> expected(4);
+    for (int q = 0; q < 4; ++q) expected[q] = prob[q] * m;
+    std::vector<double> joint(16);
+    for (int q = 0; q < 16; ++q) joint[q] = prob[q / 4] * prob[q % 4] * m;
+    for (u64 i = 0; i < log_n; ++i) {
+        EXPECT_LT(testing::chi_square(single[i], expected),
+                  testing::chi_square_critical(3))
+            << "level " << i << " of " << log_n;
+        for (u64 j = i + 1; j < log_n; ++j) {
+            EXPECT_LT(testing::chi_square(pairs[i * log_n + j], joint),
+                      testing::chi_square_critical(15))
+                << "levels " << i << " and " << j << " of " << log_n;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(LogN, RmatLevels, ::testing::Values(1, 3, 5, 12));
+
+TEST(Rmat, ZeroDProbabilityNeverPicksQuadrantD) {
+    // a + b + c = 1: no level may set both the row and the column bit.
+    const rmat::Params params{12, 50000, 0.5, 0.3, 0.2, 71};
+    for (const auto& [u, v] : rmat::generate(params, 0, 1)) {
+        ASSERT_EQ(u & v, 0u) << "quadrant d at some level of (" << u << ", " << v << ")";
+    }
+}
+
+TEST(Rmat, CertainQuadrantAPutsEveryEdgeAtOrigin) {
+    const rmat::Params params{13, 20000, 1.0, 0.0, 0.0, 73};
+    for (const Edge& e : rmat::generate(params, 0, 1)) ASSERT_EQ(e, (Edge{0, 0}));
+}
+
+TEST(Rmat, RejectsInvalidQuadrantProbabilities) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const rmat::Params bad[] = {
+        {10, 100, -0.1, 0.19, 0.19, 1}, {10, 100, 0.57, -1e-9, 0.19, 1},
+        {10, 100, 0.57, 0.19, nan, 1},  {10, 100, nan, 0.19, 0.19, 1},
+        {10, 100, 0.6, 0.3, 0.2, 1},    {10, 100, 0.5, 0.3, 0.2 + 1e-9, 1},
+    };
+    for (const rmat::Params& params : bad) {
+        EXPECT_THROW(rmat::generate(params, 0, 1), std::invalid_argument)
+            << params.a << " " << params.b << " " << params.c;
+        EXPECT_THROW(rmat::edge_at(params, 0), std::invalid_argument);
+    }
+    // A sum over 1 by rounding only (within 1e-12) is accepted.
+    EXPECT_EQ(rmat::generate({10, 100, 0.5, 0.3, 0.2 + 1e-13, 1}, 0, 1).size(), 100u);
 }
 
 } // namespace

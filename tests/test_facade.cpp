@@ -3,6 +3,8 @@
 // utilities (CSR, BFS, components) consume the outputs.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/csr.hpp"
 #include "graph/stats.hpp"
 #include "kagen.hpp"
@@ -103,6 +105,19 @@ TEST(Facade, RmatHandlesDegenerateVertexCounts) {
     MemorySink sink;
     EXPECT_THROW(generate(cfg, 0, 1, sink), std::invalid_argument);
     EXPECT_THROW(generate_chunked(cfg, 2, sink), std::invalid_argument);
+}
+
+TEST(Facade, RmatRejectsInvalidQuadrantProbabilities) {
+    Config cfg = small_config(Model::Rmat);
+    MemorySink sink;
+    for (const double bad : {-0.01, std::numeric_limits<double>::quiet_NaN()}) {
+        cfg.rmat_c = bad;
+        EXPECT_THROW(generate(cfg, 0, 1), std::invalid_argument);
+        EXPECT_THROW(generate(cfg, 1, 4, sink), std::invalid_argument);
+    }
+    cfg.rmat_c = 0.19;
+    cfg.rmat_a = 0.7; // a + b + c = 1.08
+    EXPECT_THROW(generate(cfg, 0, 1), std::invalid_argument);
 }
 
 TEST(Facade, InvalidRankThrows) {

@@ -3,7 +3,7 @@
 // (v1) output for a pinned (model, params, seed, rank, size) must never
 // move by a single byte, or silently re-generated datasets stop matching
 // published ones. These fixtures freeze small instances of the ER family,
-// one geometric model and the in-memory RHG; the byte-identity sweeps in
+// one geometric model, the in-memory RHG and R-MAT; the byte-identity sweeps in
 // test_er/test_dist cover self-consistency, this suite covers consistency
 // *across commits*.
 //
@@ -55,6 +55,9 @@ const GoldenCase kCases[] = {
     // annulus query loop unsorted, so this pins the loop, not just the set.
     {"rhg_n2048_d8_g2.8_s7_r1of4_exact_once.bin", Model::Rhg, 2048, 0, 0.0, 0.0,
      7, 1, 4, 8.0, 2.8, EdgeSemantics::exact_once},
+    // R-MAT's alias-table stream: log_n = 12 = 5 + 5 + 2, so this also pins
+    // the partial last draw.
+    {"rmat_n4096_m4096_s7_r1of2.bin", Model::Rmat, 4096, 4096, 0.0, 0.0, 7, 1, 2},
 };
 
 std::string golden_path(const char* file) {
