@@ -9,8 +9,9 @@ Usage:
 The trace is the cross-rank merge written by the fork/TCP coordinators
 (DESIGN.md §13): one Chrome `trace_event` process per rank plus one for
 the coordinator, `ph:"X"` complete spans for the engine phases and
-`ph:"i"` instants for steals and budget parks, timestamps in
-microseconds on the coordinator's clock.
+`ph:"i"` instants for budget parks, timestamps in microseconds on the
+coordinator's clock. A trace may hold no instants at all; `steal` stays in
+the vocabulary only so traces from builds that still stole validate.
 
 Default mode prints a per-rank, per-phase utilization table: span count,
 total busy time, and busy time as a share of that rank's wall span

@@ -25,7 +25,7 @@
 /// on MPI processes, threads, or sequentially — outputs are bit-identical.
 /// The chunked engine reuses the same rank-splitting math with chunk ids in
 /// the rank role: `chunks_per_pe` (K) schedules K·P logical chunks over a
-/// work-stealing pool for load balancing, and pinning `total_chunks` makes
+/// persistent thread pool for load balancing, and pinning `total_chunks` makes
 /// the generated graph independent of both P and K. See DESIGN.md for the
 /// model-by-model algorithm map (paper sections), the PE-simulation
 /// argument, and the sink/chunk architecture; the per-model headers under
@@ -139,7 +139,7 @@ struct Config {
 
     /// Runtime telemetry (src/obs/, DESIGN.md §13; tool: -trace/-metrics).
     /// Non-empty `trace_path`: the run records chunk-lifecycle spans and
-    /// steal/park instants and writes a Chrome trace_event JSON timeline
+    /// budget-park instants and writes a Chrome trace_event JSON timeline
     /// there at the end; non-empty `metrics_path`: the run's metrics-
     /// registry delta is written there as JSON. Observation never perturbs
     /// output (byte-identity is test-pinned), and neither field enters
@@ -478,8 +478,8 @@ struct ChunkStats {
 
 /// Whole-graph chunked engine: runs every canonical chunk (total_chunks,
 /// or chunks_per_pe·num_pes when unset) of the graph through the generator
-/// and streams the edges into `sink`, work-stealing-scheduled over the
-/// persistent thread pool with at most `threads` workers (0 = one per
+/// and streams the edges into `sink`, dispatched in ascending chunk order
+/// over the persistent thread pool with at most `threads` workers (0 = one per
 /// simulated PE, capped by the hardware). A chunk id plays exactly the rank
 /// role of the per-PE API, so the edge stream equals the concatenation of
 /// generate(cfg, c, C) for c = 0..C-1 — bit-identical for every thread

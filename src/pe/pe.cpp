@@ -16,7 +16,6 @@
 #include <sched.h>
 #endif
 
-#include "common/math.hpp"
 #include "obs/trace.hpp"
 #include "pe/arena.hpp"
 #include "pe/chunk_pool.hpp"
@@ -29,31 +28,27 @@ namespace {
 /// parallel_for calls then run inline instead of deadlocking on the pool.
 thread_local bool t_inside_pool = false;
 
-constexpr u64 kNoTask = ~u64{0};
-
-/// One participant's task range. `next`/`end` are guarded by `m`; thieves
-/// take the upper half of the remainder under the same lock, so every task
-/// index is claimed exactly once.
-struct StealRange {
-    std::mutex m;
-    u64 next = 0;
-    u64 end  = 0;
-};
-
+/// One parallel section. Tasks are claimed in *affinity groups* of
+/// adjacent tasks through one shared ticket counter: ticket k names the
+/// k-th group in ascending task order, so every participant runs its groups
+/// in ascending order and the section as a whole starts tasks in canonical
+/// order — completion stays close to it, which is what lets ordered
+/// delivery stream instead of parking (DESIGN.md §5).
 struct Job {
     const std::function<void(u64)>* fn = nullptr;
-    std::vector<std::unique_ptr<StealRange>> ranges;
-    /// Affinity group size: steal split points prefer multiples of it, so
-    /// groups of adjacent tasks migrate between workers as a unit.
+    u64 num_tasks = 0;
+    /// Group size; a whole group runs on the participant holding its ticket.
     u64 granularity = 1;
-    /// Task index of the first full group boundary: group starts sit at
-    /// task == phase (mod granularity). Nonzero when the caller's task 0
-    /// maps to an absolute id that is not group-aligned — a distributed
-    /// rank whose chunk_begin is not a multiple of the group size.
-    u64 grain_phase = 0;
+    /// Tasks the group grid is shifted by: task t belongs to group
+    /// (t + grain_offset) / granularity, so the first group is the partial
+    /// [0, granularity - grain_offset) when the caller's task 0 maps to a
+    /// mid-group absolute id (a distributed rank's chunk subrange).
+    u64 grain_offset = 0;
+    u64 num_groups   = 0;
+    std::atomic<u64> next_ticket{0};
     /// Participants that have left run_participant. The job owner may only
     /// reclaim the (stack-allocated) job once every participant has exited —
-    /// "all tasks done" is not enough, late thieves still scan the ranges.
+    /// "all tasks done" is not enough, late participants still draw tickets.
     std::atomic<u64> exited{0};
     /// First exception thrown by any task; rethrown on the submitting
     /// thread once the section has fully joined (a worker must never let an
@@ -70,56 +65,16 @@ struct InsidePoolGuard {
     ~InsidePoolGuard() { t_inside_pool = false; }
 };
 
-u64 pop_own(StealRange& r) {
-    std::lock_guard<std::mutex> lock(r.m);
-    if (r.next >= r.end) return kNoTask;
-    return r.next++;
-}
-
-/// Steals the upper half of the victim's remaining range into `self`
-/// (which must be empty). Returns false if the victim had nothing.
-bool steal_from(StealRange& victim, StealRange& self, u64 granularity,
-                u64 grain_phase) {
-    // Lock order by address: both directions of stealing may race.
-    StealRange* first  = &victim < &self ? &victim : &self;
-    StealRange* second = &victim < &self ? &self : &victim;
-    std::lock_guard<std::mutex> l1(first->m);
-    std::lock_guard<std::mutex> l2(second->m);
-    if (self.next < self.end) return true; // someone refilled us meanwhile
-    const u64 remaining = victim.end - victim.next;
-    if (remaining == 0) return false;
-    u64 take = (remaining + 1) / 2;
-    if (granularity > 1) {
-        // Affinity-aware split: move the cut up to the next group boundary
-        // (group starts sit at phase mod granularity in task space, i.e.
-        // at absolute-id multiples of the group size) so whole groups of
-        // adjacent tasks change hands; keep the raw half when the victim's
-        // tail is sub-group.
-        const u64 cut  = victim.end - take;
-        const u64 past = (cut + granularity - grain_phase) % granularity;
-        const u64 aligned = past == 0 ? cut : cut + (granularity - past);
-        if (aligned > victim.next && aligned < victim.end) {
-            take = victim.end - aligned;
-        }
-    }
-    self.next  = victim.end - take;
-    self.end   = victim.end;
-    victim.end = victim.end - take;
-    return true;
-}
-
 /// Per-participant utilization, accumulated locally during the section and
 /// flushed to the metrics registry once on exit — the hot loop never takes
 /// the registry mutex, and per-worker counters survive as named
 /// instruments (`pool.w007.busy_ns`) for the tool's `-v` report.
 struct ParticipantStats {
-    u64 busy_ns         = 0;
-    u64 tasks           = 0;
-    u64 steal_attempts  = 0;
-    u64 steal_successes = 0;
+    u64 busy_ns = 0;
+    u64 tasks   = 0;
 
     void flush(u64 self) {
-        if (tasks == 0 && steal_attempts == 0) return;
+        if (tasks == 0) return;
         obs::Registry& reg = obs::Registry::global();
         char name[48];
         std::snprintf(name, sizeof(name), "pool.w%03llu.",
@@ -127,62 +82,44 @@ struct ParticipantStats {
         const std::string prefix(name);
         reg.counter(prefix + "busy_ns").add(busy_ns);
         reg.counter(prefix + "tasks").add(tasks);
-        reg.counter(prefix + "steal_attempts").add(steal_attempts);
-        reg.counter(prefix + "steal_successes").add(steal_successes);
         reg.counter("pool.busy_ns").add(busy_ns);
         reg.counter("pool.tasks").add(tasks);
-        reg.counter("pool.steal_attempts").add(steal_attempts);
-        reg.counter("pool.steal_successes").add(steal_successes);
     }
 };
 
+/// Runs one task; false once the section is cancelled (by this task's
+/// exception or an earlier one).
+bool run_task(Job& job, u64 task, ParticipantStats& pstats) {
+    if (job.cancelled.load(std::memory_order_acquire)) return false;
+    const u64 t0 = obs::monotonic_now();
+    try {
+        (*job.fn)(task);
+    } catch (...) {
+        pstats.busy_ns += obs::monotonic_now() - t0;
+        {
+            std::lock_guard<std::mutex> lock(job.error_m);
+            if (!job.error) job.error = std::current_exception();
+        }
+        job.cancelled.store(true, std::memory_order_release);
+        return false;
+    }
+    pstats.busy_ns += obs::monotonic_now() - t0;
+    ++pstats.tasks;
+    return true;
+}
+
 void run_participant(Job& job, u64 self) {
-    auto& mine = *job.ranges[self];
     ParticipantStats pstats;
     for (;;) {
-        u64 task = pop_own(mine);
-        if (task == kNoTask) {
-            // Steal from the participant with the most remaining work.
-            u64 best = kNoTask, best_remaining = 0;
-            for (u64 v = 0; v < job.ranges.size(); ++v) {
-                if (v == self) continue;
-                auto& r = *job.ranges[v];
-                std::lock_guard<std::mutex> lock(r.m);
-                const u64 remaining = r.end - r.next;
-                if (remaining > best_remaining) {
-                    best_remaining = remaining;
-                    best           = v;
-                }
-            }
-            if (best == kNoTask) break; // no work anywhere: done
-            ++pstats.steal_attempts;
-            if (!steal_from(*job.ranges[best], mine, job.granularity,
-                            job.grain_phase)) {
-                continue;
-            }
-            ++pstats.steal_successes;
-            {
-                std::lock_guard<std::mutex> lock(mine.m);
-                obs::instant(obs::Phase::steal, mine.end - mine.next);
-            }
-            task = pop_own(mine);
-            if (task == kNoTask) continue;
-        }
-        if (job.cancelled.load(std::memory_order_acquire)) break;
-        const u64 t0 = obs::monotonic_now();
-        try {
-            (*job.fn)(task);
-        } catch (...) {
-            pstats.busy_ns += obs::monotonic_now() - t0;
-            {
-                std::lock_guard<std::mutex> lock(job.error_m);
-                if (!job.error) job.error = std::current_exception();
-            }
-            job.cancelled.store(true, std::memory_order_release);
-            break;
-        }
-        pstats.busy_ns += obs::monotonic_now() - t0;
-        ++pstats.tasks;
+        const u64 k = job.next_ticket.fetch_add(1);
+        if (k >= job.num_groups) break;
+        const u64 g0    = k * job.granularity;
+        const u64 first = g0 > job.grain_offset ? g0 - job.grain_offset : 0;
+        const u64 last =
+            std::min(g0 + job.granularity - job.grain_offset, job.num_tasks);
+        u64 task = first;
+        while (task < last && run_task(job, task, pstats)) ++task;
+        if (task < last) break;
     }
     pstats.flush(self);
 }
@@ -278,28 +215,12 @@ void ThreadPool::parallel_for(u64 num_tasks, u64 max_workers,
 
     Job job;
     job.fn          = &fn;
+    job.num_tasks   = num_tasks;
     job.granularity = std::max<u64>(deal_granularity, 1);
-    job.grain_phase = job.granularity > 1 ? deal_phase % job.granularity : 0;
-    job.ranges.reserve(participants);
-    // Initial deal: contiguous equal-count blocks, with interior boundaries
-    // rounded down to the previous affinity-group start (task == phase mod
-    // granularity) so a group of adjacent tasks never starts split across
-    // two participants. Rounding down is monotone, so the boundaries still
-    // partition [0, num_tasks); any imbalance it introduces (at most one
-    // group per boundary) is repaid by stealing.
-    auto boundary = [&](u64 p) {
-        const u64 b = block_begin(num_tasks, participants, p);
-        if (p == 0 || p == participants || job.granularity <= 1) return b;
-        const u64 past =
-            (b + job.granularity - job.grain_phase) % job.granularity;
-        return b >= past ? b - past : b; // keep b when no group start precedes
-    };
-    for (u64 p = 0; p < participants; ++p) {
-        auto range  = std::make_unique<StealRange>();
-        range->next = boundary(p);
-        range->end  = boundary(p + 1);
-        job.ranges.push_back(std::move(range));
-    }
+    const u64 phase = deal_phase % job.granularity;
+    job.grain_offset = phase == 0 ? 0 : job.granularity - phase;
+    job.num_groups =
+        (num_tasks + job.grain_offset + job.granularity - 1) / job.granularity;
 
     {
         std::lock_guard<std::mutex> lock(impl_->m);
@@ -737,7 +658,7 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         // every emitted edge lands at its final resting place) and a single
         // designated drainer hands them over in canonical chunk order — the
         // output stream is bit-identical to a sequential run, for any
-        // worker count and any steal schedule. Chunks completing more than
+        // worker count and any completion order. Chunks completing more than
         // `max_buffered_bytes` ahead of the cursor park on disk, so peak
         // memory is budget + one chunk instead of O(completion skew).
         // Recycling stays on in bounded mode too: released slabs decommit

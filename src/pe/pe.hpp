@@ -4,7 +4,7 @@
 /// The paper's generators are communication-free: each MPI rank computes its
 /// part of the graph as a pure function of (rank, P, seed, parameters). This
 /// harness substitutes MPI with logical PEs executed on a persistent
-/// work-stealing thread pool (or sequentially for deterministic debugging).
+/// thread pool (or sequentially for deterministic debugging).
 /// DESIGN.md §1 documents why this preserves the paper's behaviour: the
 /// per-PE code path is identical, and the harness additionally lets tests
 /// check cross-PE invariants exactly.
@@ -48,15 +48,17 @@ EdgeList union_undirected(const std::vector<EdgeList>& per_pe);
 EdgeList union_directed(const std::vector<EdgeList>& per_pe);
 
 // ---------------------------------------------------------------------------
-// Persistent work-stealing thread pool
+// Persistent thread pool with ascending ticket dispatch
 // ---------------------------------------------------------------------------
 
 /// Fixed-size pool whose workers persist across parallel sections (thread
-/// spin-up would otherwise dominate chunk-granular scheduling). Tasks are
-/// dealt as contiguous per-participant index ranges; a participant that
-/// drains its range steals the upper half of the largest remaining range —
-/// the textbook lazy-splitting scheme. `parallel_for` is not reentrant from
-/// worker threads; nested calls degrade to inline sequential execution.
+/// spin-up would otherwise dominate chunk-granular scheduling). Participants
+/// draw tickets from one shared counter, and ticket k is the k-th group of
+/// adjacent tasks in ascending order: tasks start in canonical order, so
+/// they also complete close to it, and an idle participant simply draws
+/// the next ticket — no per-participant ranges, no stealing. `parallel_for`
+/// is not reentrant from worker threads; nested calls degrade to inline
+/// sequential execution.
 class ThreadPool {
 public:
     /// \param num_threads worker threads in addition to the caller;
@@ -74,16 +76,15 @@ public:
     /// `max_workers` participants (0 = all). Returns when every task has
     /// completed. Deterministic per task; completion order is not.
     ///
-    /// `deal_granularity` > 1 aligns the initial per-participant range
-    /// boundaries (and steal split points, where possible) to groups of
-    /// that many consecutive tasks, so groups of adjacent tasks stay on one
-    /// participant — the affinity knob the chunked engine uses to keep a
-    /// simulated PE's Morton-contiguous chunk block on one worker (see
+    /// A ticket covers a group of `deal_granularity` consecutive tasks
+    /// (0/1 = one task), and a whole group runs on the participant that
+    /// drew its ticket — the affinity knob the chunked engine uses to keep
+    /// a simulated PE's Morton-contiguous chunk block on one worker (see
     /// ChunkOptions::deal_granularity). `deal_phase` shifts the group grid:
-    /// group starts sit at task == deal_phase (mod deal_granularity), for
-    /// callers whose task 0 maps to a mid-group absolute id (a distributed
-    /// rank's chunk subrange). Work stealing still rebalances, so the
-    /// alignment never costs makespan beyond one group.
+    /// group starts sit at task == deal_phase (mod deal_granularity), so
+    /// the first group is the partial [0, deal_phase) for callers whose
+    /// task 0 maps to a mid-group absolute id (a distributed rank's chunk
+    /// subrange). The makespan cost of grouping is at most one group.
     void parallel_for(u64 num_tasks, u64 max_workers, const std::function<void(u64)>& fn,
                       u64 deal_granularity = 1, u64 deal_phase = 0);
 
@@ -91,7 +92,7 @@ public:
     /// hardware set, leaving CPU 0 to the calling participant). Idempotent;
     /// returns the number of workers pinned (0 when unsupported). Opt-in
     /// via ChunkOptions::pin_threads — pinning helps once chunk→worker
-    /// affinity matters (stolen ranges stop migrating between cores) and is
+    /// affinity matters (a worker's groups stop migrating between cores) and is
     /// a no-op burden otherwise, so it is never the default.
     u64 pin_workers();
 
@@ -156,14 +157,14 @@ struct ChunkOptions {
     /// future daemon's mode, and what the allocation-gate test drives.
     ChunkBufferPool* arena = nullptr;
 
-    /// Affinity-aware deal: align the initial chunk→worker ranges (and
-    /// steal splits) to groups of this many consecutive chunks. The
+    /// Affinity-aware dispatch: each pool ticket covers a group of this
+    /// many consecutive chunks, run whole by one worker. The
     /// geometric models map consecutive chunk ids to contiguous Morton cell
     /// ranges, so a granularity of K = chunks_per_pe keeps each simulated
     /// PE's spatially compact chunk block on one worker — adjacent chunks
     /// share split-tree ancestry and halo cells, so the worker's caches
     /// stay warm across its whole block (ROADMAP "NUMA / affinity"). 0/1 =
-    /// plain equal-count deal. Scheduling only: the output stream is
+    /// one chunk per ticket. Scheduling only: the output stream is
     /// byte-identical for every value.
     u64 deal_granularity = 1;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <type_traits>
 
@@ -189,11 +190,11 @@ std::vector<u64> DegreeStatsSink::degree_histogram() const {
     return hist;
 }
 
-// The bulk-write fast path hands Edge arrays to fwrite as raw bytes, so the
-// in-memory layout must equal the file format (u64 u, u64 v, no padding).
+// The bulk-write fast path hands Edge arrays to write(2) as raw bytes, so
+// the in-memory layout must equal the file format (u64 u, u64 v, no padding).
 // (Standard-layout members sit in declaration order — first, then second —
 // so the array's object representation is exactly the u64 pair stream the
-// format specifies; reading an object's bytes for fwrite needs no
+// format specifies; reading an object's bytes for a write needs no
 // trivially-copyable guarantee. The spill layer has written Edge arrays as
 // raw bytes since PR 3 under the same reasoning, and
 // tests/test_bulk_io.cpp pins bulk output == the reference writer's.)
@@ -203,48 +204,39 @@ static_assert(std::is_standard_layout_v<Edge>,
               "Edge layout must be declaration-ordered for the bulk write");
 
 BinaryFileSink::BinaryFileSink(const std::string& path, std::size_t buffer_edges)
-    : EdgeSink(buffer_edges), path_(path) {
-    // open(2) + fdopen instead of fopen: the descriptor must carry
-    // O_CLOEXEC so a subprocess spawned by any thread of this process (the
-    // distributed runner's workers in particular) can never inherit a
-    // writable handle onto this output file.
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    file_ = fd >= 0 ? ::fdopen(fd, "wb") : nullptr;
-    if (file_ == nullptr) {
-        fileio::close_or_warn(fd, "output file (fdopen failed)");
-        throw std::runtime_error("cannot open '" + path + "'");
-    }
-    // Large explicit stream buffer: emit batches (tens of KiB) coalesce
-    // into ~1 MiB write(2) calls instead of BUFSIZ-sized ones. Must be
-    // installed before the first write and outlive fclose (member).
-    stream_buffer_ = std::make_unique<char[]>(kStreamBufferBytes);
-    std::setvbuf(file_, stream_buffer_.get(), _IOFBF, kStreamBufferBytes);
-    const u64 placeholder = 0; // patched by finish()
-    if (std::fwrite(&placeholder, sizeof(placeholder), 1, file_) != 1) {
-        // Error unwind: the file holds nothing durable yet, so a close
-        // failure on top of the write failure adds no information.
-        (void)std::fclose(file_);
-        file_ = nullptr;
-        throw std::runtime_error("cannot write header of '" + path + "'");
-    }
-    bytes_written_ += sizeof(placeholder);
-}
-
-int BinaryFileSink::fd() const {
-    return file_ != nullptr ? ::fileno(file_) : -1;
+    : EdgeSink(buffer_edges), path_(path),
+      fd_(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644)) {
+    if (fd_ < 0) throw std::runtime_error("cannot open '" + path + "'");
+    stage_ = std::make_unique<char[]>(kStageBytes);
+    // make_unique zeroes the stage, so its first 8 bytes are the
+    // placeholder edge count that finish() patches.
+    staged_        = sizeof(num_edges_);
+    bytes_written_ = sizeof(num_edges_);
 }
 
 BinaryFileSink::~BinaryFileSink() {
-    // Reached with file_ != nullptr only when finish() was never called —
-    // an abort/exception path where the output is already invalid (header
+    // Reached with fd_ >= 0 only when finish() was never called — an
+    // abort/exception path where the output is already invalid (header
     // still holds the placeholder count). finish() is where a close error
     // must be (and is) surfaced; here a warning is all a destructor can do.
-    if (file_ != nullptr && std::fclose(file_) != 0) {
-        std::fprintf(stderr,
-                     "kagen: warning: close of abandoned output '%s' failed\n",
-                     path_.c_str());
+    fileio::close_or_warn(fd_, "abandoned output file");
+}
+
+void BinaryFileSink::write_out(const void* data, std::size_t bytes) {
+    try {
+        fileio::write_all(fd_, data, bytes);
+    } catch (const std::runtime_error& e) {
+        // Fail loudly now, and for good: finish() would otherwise back-patch
+        // a header claiming edges that never reached the disk (e.g. ENOSPC).
+        failed_ = true;
+        throw std::runtime_error("short write to '" + path_ + "': " + e.what());
     }
+}
+
+void BinaryFileSink::write_staged() {
+    if (staged_ == 0) return;
+    write_out(stage_.get(), staged_);
+    staged_ = 0;
 }
 
 void BinaryFileSink::consume(const Edge* edges, std::size_t count) {
@@ -252,34 +244,40 @@ void BinaryFileSink::consume(const Edge* edges, std::size_t count) {
         obs::Registry::global().counter("sink.edges_written");
     static obs::Counter& bytes_ctr =
         obs::Registry::global().counter("sink.bytes_written");
-    const obs::Span span(obs::Phase::sink_write, count * sizeof(Edge));
-    // One bulk fwrite per batch: the Edge array *is* the file byte layout
-    // (static_assert above), so the whole batch is a single memcpy into the
-    // stream buffer — no per-edge call, no staging copy.
-    if (std::fwrite(edges, sizeof(Edge), count, file_) != count) {
-        // Fail loudly now: finish() would otherwise back-patch a header
-        // claiming edges that never reached the disk (e.g. ENOSPC).
-        throw std::runtime_error("short write to '" + path_ + "'");
+    const std::size_t bytes = count * sizeof(Edge);
+    const obs::Span span(obs::Phase::sink_write, bytes);
+    // Large batches (arena slabs) are written in place: copying them into
+    // the stage first would only add a memcpy in front of the same write.
+    const bool direct = bytes >= kDirectWriteBytes;
+    if (direct || staged_ + bytes > kStageBytes) write_staged();
+    if (direct) {
+        write_out(edges, bytes);
+    } else {
+        std::memcpy(stage_.get() + staged_, edges, bytes);
+        staged_ += bytes;
     }
     num_edges_ += count;
-    bytes_written_ += count * sizeof(Edge);
+    bytes_written_ += bytes;
     edges_ctr.add(count);
-    bytes_ctr.add(count * sizeof(Edge));
+    bytes_ctr.add(bytes);
 }
 
 void BinaryFileSink::finish() {
     if (finished_) return;
     flush();
-    if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-        std::fwrite(&num_edges_, sizeof(num_edges_), 1, file_) != 1) {
+    if (failed_) {
+        throw std::runtime_error("cannot finish '" + path_ +
+                                 "': an earlier write failed");
+    }
+    write_staged();
+    if (::pwrite(fd_, &num_edges_, sizeof(num_edges_), 0) !=
+        static_cast<ssize_t>(sizeof(num_edges_))) {
         throw std::runtime_error("cannot patch edge count in '" + path_ + "'");
     }
     bytes_written_ += sizeof(num_edges_);
-    if (std::fclose(file_) != 0) {
-        file_ = nullptr;
-        throw std::runtime_error("cannot close '" + path_ + "'");
-    }
-    file_     = nullptr;
+    const int fd = fd_;
+    fd_          = -1;
+    if (::close(fd) != 0) throw std::runtime_error("cannot close '" + path_ + "'");
     finished_ = true;
 }
 

@@ -3,7 +3,6 @@
 ///        binary file streaming. See edge_sink.hpp for the contract.
 #pragma once
 
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -189,13 +188,15 @@ private:
 /// count never needs to be known up front. Output is bit-identical to
 /// io::write_edge_list_binary over the same edge sequence.
 ///
-/// Hot path (DESIGN.md §9): each incoming batch is written with a single
-/// bulk `fwrite` — `Edge` is a pair of u64 with no padding, so the batch is
-/// already the file's on-disk byte layout — into a 1 MiB stream buffer, so
-/// the per-edge cost is one 16-byte memcpy plus an amortized slice of a
-/// large write(2). `bytes_written()` counts every byte handed to stdio
-/// (header, payload, and the finish() back-patch), for throughput
-/// accounting.
+/// Hot path (DESIGN.md §9): `Edge` is a pair of u64 with no padding, so a
+/// batch is already the file's on-disk byte layout. Batches of at least
+/// 256 KiB — the ~1 MiB arena slabs of ordered delivery — go straight to
+/// the descriptor in one write(2), with no staging copy. Smaller batches
+/// (64 KiB emit batches) are staged in a 1 MiB buffer and leave in ~1 MiB
+/// writes. `bytes_written()` counts every byte the sink accepted (header,
+/// payload, and the finish() back-patch), for throughput accounting. A
+/// failed write throws naming the path, and finish() then refuses to
+/// complete, so a short write never ends in a file that looks valid.
 ///
 /// The descriptor is opened with O_CLOEXEC: the distributed runner (dist/)
 /// forks workers out of a process that may hold open output sinks, and a
@@ -204,7 +205,7 @@ private:
 class BinaryFileSink final : public EdgeSink {
 public:
     /// \param buffer_edges inline emit-buffer capacity (0 = default); the
-    ///        1 MiB stream buffer is independent of this.
+    ///        1 MiB staging buffer is independent of this.
     explicit BinaryFileSink(const std::string& path, std::size_t buffer_edges = 0);
     ~BinaryFileSink() override;
 
@@ -214,25 +215,33 @@ public:
     void finish() override;
     u64 num_edges() const { return num_edges_; }
 
-    /// Total bytes handed to the stream so far (header + edge payload +,
-    /// after finish(), the back-patched header again).
+    /// Total bytes accepted so far (header + edge payload +, after
+    /// finish(), the back-patched header again).
     u64 bytes_written() const { return bytes_written_; }
 
     /// Underlying descriptor (diagnostics/tests; -1 after finish()).
-    int fd() const;
+    int fd() const { return fd_; }
 
 protected:
     void consume(const Edge* edges, std::size_t count) override;
 
 private:
-    static constexpr std::size_t kStreamBufferBytes = std::size_t{1} << 20;
+    static constexpr std::size_t kStageBytes       = std::size_t{1} << 20;
+    static constexpr std::size_t kDirectWriteBytes = std::size_t{256} << 10;
+    static_assert(kDirectWriteBytes <= kStageBytes,
+                  "every staged batch must fit an empty stage");
+
+    void write_staged();
+    void write_out(const void* data, std::size_t bytes);
 
     std::string path_;
-    std::FILE* file_;
-    std::unique_ptr<char[]> stream_buffer_;
-    u64 num_edges_     = 0;
-    u64 bytes_written_ = 0;
-    bool finished_     = false;
+    int fd_ = -1;
+    std::unique_ptr<char[]> stage_;
+    std::size_t staged_ = 0;
+    u64 num_edges_      = 0;
+    u64 bytes_written_  = 0;
+    bool failed_        = false;
+    bool finished_      = false;
 };
 
 } // namespace kagen

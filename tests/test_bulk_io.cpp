@@ -81,7 +81,7 @@ TEST_F(BulkIoTest, BulkWritesMatchReferenceWriterForAnyBufferCapacity) {
 }
 
 TEST_F(BulkIoTest, DeliverWritesWholeChunksInOneBatch) {
-    // deliver() hands a whole chunk to one consume -> one bulk fwrite; the
+    // deliver() hands a whole chunk to one consume -> one bulk write; the
     // result must still equal the per-edge emit stream byte for byte.
     const EdgeList edges = some_edges(5000, 9);
     const auto a = track(path("deliver_bulk.bin"));
@@ -111,6 +111,72 @@ TEST_F(BulkIoTest, BytesWrittenAccountsHeaderPayloadAndBackpatch) {
     EXPECT_EQ(sink.bytes_written(), 16u + 16u * edges.size())
         << "finish() back-patches the header";
     EXPECT_EQ(sink.buffer_capacity(), EdgeSink::kDefaultBufferEdges);
+}
+
+TEST_F(BulkIoTest, StagedAndDirectBatchesInterleaveByteIdentically) {
+    // Batches below 256 KiB are staged, batches of 256 KiB and more go
+    // straight to the descriptor after the stage is written out. Any mix —
+    // emit batches (64 KiB, plus a partial one), deliver batches on both
+    // sides of the threshold, one of several MiB, and enough small batches
+    // to overflow the 1 MiB stage — must keep the exact stream order.
+    constexpr std::size_t kThresholdEdges = (std::size_t{256} << 10) / sizeof(Edge);
+    const std::size_t deliver_sizes[] = {
+        1, kThresholdEdges - 1, kThresholdEdges, kThresholdEdges + 1,
+        (std::size_t{5} << 20) / sizeof(Edge) + 3, 4096, 7};
+
+    EdgeList all;
+    const auto p = track(path("interleaved.bin"));
+    {
+        BinaryFileSink sink(p);
+        u64 salt = 0;
+        for (const std::size_t size : deliver_sizes) {
+            // 20 emit batches overflow the stage once per round.
+            for (const auto& e : some_edges(20 * 4096 + 1234, ++salt)) {
+                sink.emit(e);
+                all.push_back(e);
+            }
+            sink.flush(); // deliver() bypasses the emit buffer
+            const EdgeList batch = some_edges(size, ++salt);
+            sink.deliver(batch.data(), batch.size());
+            append(all, batch);
+        }
+        sink.finish();
+        EXPECT_EQ(sink.num_edges(), all.size());
+        EXPECT_EQ(sink.bytes_written(), 16u + 16u * all.size());
+    }
+    const auto ref_path = track(path("interleaved_ref.bin"));
+    io::write_edge_list_binary(ref_path, all);
+    EXPECT_EQ(slurp(p), slurp(ref_path));
+}
+
+TEST_F(BulkIoTest, FullDeviceFailsLoudlyAndNeverFinishes) {
+    // /dev/full answers every write with ENOSPC: both the staged path and
+    // the direct path must throw naming the output, and finish() must not
+    // back-patch a header over the lost edges and report success.
+    const std::string full = "/dev/full";
+    if (::access(full.c_str(), W_OK) != 0) GTEST_SKIP() << "no writable /dev/full";
+    const auto expect_names_path = [&](const auto& op) {
+        try {
+            op();
+            ADD_FAILURE() << "write to " << full << " did not throw";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(full), std::string::npos)
+                << e.what();
+        }
+    };
+    {
+        BinaryFileSink sink(full);
+        const EdgeList small = some_edges(100);
+        sink.deliver(small.data(), small.size()); // staged: no write yet
+        expect_names_path([&] { sink.finish(); });
+        EXPECT_THROW(sink.finish(), std::runtime_error);
+    }
+    {
+        BinaryFileSink sink(full);
+        const EdgeList big = some_edges((std::size_t{1} << 20) / sizeof(Edge));
+        expect_names_path([&] { sink.deliver(big.data(), big.size()); });
+        EXPECT_THROW(sink.finish(), std::runtime_error);
+    }
 }
 
 // ---------------------------------------------------------------------------

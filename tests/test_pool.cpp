@@ -2,14 +2,19 @@
 // ChunkBufferPool units, recycled multi-worker ordered delivery
 // (byte-identical to sequential, recycling engaged — including in
 // bounded-memory mode, where released slabs decommit instead of the pool
-// switching off), affinity-aware deal granularity (every task exactly
-// once, group-aligned initial deal, identical output), and worker pinning.
+// switching off), ascending ticket dispatch (tasks start in canonical
+// order; a group runs whole on one thread), affinity-aware deal
+// granularity (every task exactly once, identical output), and worker
+// pinning.
 // ctest label: pool (re-run under ASan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "kagen.hpp"
@@ -134,7 +139,7 @@ TEST(RecycledDelivery, MultiWorkerOutputMatchesSequentialAndRecycles) {
 
     // Whoever delivers chunk 0 releases its slab before acquiring one for
     // its next chunk, so a run recycles unless that participant happened to
-    // execute no further chunk — a steal schedule so extreme that three
+    // execute no further chunk — a schedule so extreme that three
     // attempts hitting it in a row indicates a real regression.
     u64 recycled = 0;
     for (int attempt = 0; attempt < 3 && recycled == 0; ++attempt) {
@@ -215,6 +220,72 @@ TEST(RecycledDelivery, SingleWorkerStreamsWithoutChunkBuffers) {
         for (u64 c = 0; c < 8; ++c) total += 200 + (c * 53) % 300;
         return total;
     }());
+}
+
+// ---------------------------------------------------------------------------
+// Ascending ticket dispatch
+// ---------------------------------------------------------------------------
+
+/// Uneven busy work, so participants drift apart in time.
+void spin(u64 task) {
+    volatile u64 sink = 0;
+    for (u64 i = 0; i < 2000 + (task * 7919) % 20000; ++i) sink = sink + i;
+}
+
+TEST(Pool, TicketsRunGroupsInAscendingOrder) {
+    pe::ThreadPool pool(3);
+    const u64 W = pool.num_threads();
+
+    // Granularity 1: tasks 0..t-1 were all claimed before task t, and each
+    // of the other W-1 participants holds at most one of them unfinished,
+    // so at least t-W+1 have completed — under any timing. A contiguous
+    // deal breaks this at once (participant 1 starts task n/W first).
+    constexpr u64 kTasks = 400;
+    std::atomic<u64> completed{0};
+    std::atomic<u64> violations{0};
+    pool.parallel_for(kTasks, 0, [&](u64 t) {
+        if (t >= W && completed.load() < t - W + 1) violations.fetch_add(1);
+        spin(t);
+        completed.fetch_add(1);
+    });
+    EXPECT_EQ(completed.load(), kTasks);
+    EXPECT_EQ(violations.load(), 0u) << "a task started ahead of its ticket order";
+
+    // Granularity G with a nonzero phase: groups are [0, phase) and then
+    // [phase + kG, phase + (k+1)G). Each group runs contiguously on one
+    // thread, and each thread's tasks (hence its groups) ascend.
+    for (const u64 phase : {u64{0}, u64{3}}) {
+        constexpr u64 kGroupTasks = 103;
+        constexpr u64 G           = 5;
+        std::mutex m;
+        std::map<std::thread::id, std::vector<u64>> per_thread;
+        std::vector<std::thread::id> owner(kGroupTasks);
+        pool.parallel_for(kGroupTasks, 0, [&](u64 t) {
+            {
+                std::lock_guard<std::mutex> lock(m);
+                per_thread[std::this_thread::get_id()].push_back(t);
+                owner[t] = std::this_thread::get_id();
+            }
+            spin(t);
+        }, G, phase);
+        const auto group_of = [&](u64 t) {
+            return phase == 0 ? t / G : (t < phase ? 0 : 1 + (t - phase) / G);
+        };
+        for (u64 t = 1; t < kGroupTasks; ++t) {
+            if (group_of(t) == group_of(t - 1)) {
+                EXPECT_EQ(owner[t], owner[t - 1])
+                    << "group " << group_of(t) << " split at task " << t
+                    << " (phase " << phase << ")";
+            }
+        }
+        u64 seen = 0;
+        for (const auto& [id, tasks] : per_thread) {
+            EXPECT_TRUE(std::is_sorted(tasks.begin(), tasks.end()))
+                << "a thread's groups must ascend (phase " << phase << ")";
+            seen += tasks.size();
+        }
+        EXPECT_EQ(seen, kGroupTasks);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ TEST_F(SinkFileTest, StreamingReaderReplaysFileThroughSinks) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing thread pool
+// Thread pool
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPool, EveryTaskRunsExactlyOnce) {
@@ -177,9 +177,9 @@ TEST(ThreadPool, EveryTaskRunsExactlyOnce) {
     }
 }
 
-TEST(ThreadPool, StealsFromImbalancedRanges) {
-    // A heavy prefix forces the other participants to steal: every task must
-    // still run exactly once afterwards.
+TEST(ThreadPool, HeavyPrefixRunsEveryTaskOnce) {
+    // A heavy prefix keeps some participants busy while the others draw
+    // the remaining tickets: every task must still run exactly once.
     pe::ThreadPool pool(3);
     constexpr u64 kTasks = 64;
     std::vector<std::atomic<u32>> hits(kTasks);
@@ -265,7 +265,7 @@ TEST_P(ChunkedEngine, MatchesPerRankSequentialPath) {
 
 TEST_P(ChunkedEngine, ThreadedRunIsBitIdenticalToSequential) {
     // Ordered delivery makes the engine's edge stream independent of the
-    // worker count and steal schedule. The local 4-participant pool
+    // worker count and completion order. The local 4-participant pool
     // exercises true concurrency even on single-core CI machines.
     Config cfg        = engine_config(GetParam(), 400);
     cfg.chunks_per_pe = 4;
