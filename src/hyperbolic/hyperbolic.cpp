@@ -1,6 +1,9 @@
 #include "hyperbolic/hyperbolic.hpp"
 
 #include <algorithm>
+#include <array>
+#include <compare>
+#include <utility>
 
 #include "common/math.hpp"
 #include "variates/variates.hpp"
@@ -59,56 +62,81 @@ HypGrid::Node HypGrid::descend(u32 a, u64 chunk) const {
     return Node{count, prefix};
 }
 
-std::vector<HypPoint> HypGrid::chunk_points(u32 a, u64 chunk) const {
+ChunkLayout HypGrid::chunk_layout(u32 a, u64 chunk, std::pmr::memory_resource* mem) const {
     const Node node = descend(a, chunk);
-    std::vector<HypPoint> pts;
-    pts.reserve(node.count);
-    if (node.count == 0) return pts;
-
-    // Power-of-two cells per chunk targeting a constant occupancy (§7.2.1).
+    // Power-of-two cells targeting a constant occupancy (§7.2.1).
     const u64 cells = ceil_pow2(std::max<u64>(node.count / 8, 1));
-    // Per-cell counts by equal-probability binary splits.
-    std::vector<u64> cell_count(cells, 0);
-    struct Range {
-        u64 lo, hi, k;
-    };
-    std::vector<Range> stack{{0, cells, node.count}};
-    while (!stack.empty()) {
-        const auto [lo, hi, k] = stack.back();
-        stack.pop_back();
-        if (hi - lo == 1) {
-            cell_count[lo] = k;
-            continue;
-        }
-        const u64 mid  = lo + (hi - lo) / 2;
-        Rng rng        = Rng::for_ids(seed_, {kTagCell, a, chunk, lo, hi});
-        const u64 left = binomial(rng, k, 0.5);
-        if (left > 0) stack.push_back({lo, mid, left});
-        if (k - left > 0) stack.push_back({mid, hi, k - left});
-    }
+    ChunkLayout layout{.first_id   = annulus_first_id(a) + node.prefix,
+                       .count      = node.count,
+                       .cells      = cells,
+                       .begin      = chunk_begin(chunk),
+                       .cell_width = chunk_width() / static_cast<double>(cells),
+                       .cosh_lo    = std::cosh(space_.alpha() * annulus_lower(a)),
+                       .cosh_hi    = std::cosh(space_.alpha() * annulus_upper(a)),
+                       .offset     = std::pmr::vector<u64>(mem)};
 
-    const double c_begin = chunk_begin(chunk);
-    const double c_width = chunk_width() / static_cast<double>(cells);
-    const double cosh_lo = std::cosh(space_.alpha() * annulus_lower(a));
-    const double cosh_hi = std::cosh(space_.alpha() * annulus_upper(a));
-    u64 next_id = annulus_first_id(a) + node.prefix;
-    std::vector<std::pair<double, double>> cell_pts; // (theta, radius)
-    for (u64 cell = 0; cell < cells; ++cell) {
-        if (cell_count[cell] == 0) continue;
-        Rng rng = Rng::for_ids(seed_, {kTagPoint, a, chunk, cell});
-        cell_pts.clear();
-        for (u64 i = 0; i < cell_count[cell]; ++i) {
-            const double theta =
-                c_begin + (static_cast<double>(cell) + rng.uniform()) * c_width;
-            const double r = space_.inv_radial_cosh(cosh_lo, cosh_hi, rng.uniform());
-            cell_pts.emplace_back(theta, r);
+    // Per-cell counts by equal-probability binary splits, level by level in
+    // place: offset[lo] holds the count of the node [lo, lo + w). Every node
+    // is seeded by its own range, so the visiting order is free.
+    auto& cnt = layout.offset;
+    cnt.assign(layout.cells + 1, 0);
+    cnt[0] = node.count;
+    for (u64 w = layout.cells; w > 1; w /= 2) {
+        for (u64 lo = 0; lo < layout.cells; lo += w) {
+            const u64 k = cnt[lo];
+            if (k == 0) continue;
+            Rng rng         = Rng::for_ids(seed_, {kTagCell, a, chunk, lo, lo + w});
+            const u64 left  = binomial(rng, k, 0.5);
+            cnt[lo]         = left;
+            cnt[lo + w / 2] = k - left;
         }
-        // Sort inside the cell so ids are angle-monotone within the chunk —
-        // the streaming generator's sweep depends on this order.
-        std::sort(cell_pts.begin(), cell_pts.end());
-        for (const auto& [theta, r] : cell_pts) {
-            pts.push_back(space_.make_point(next_id++, r, theta));
-        }
+    }
+    // Counts to offsets: offset[c] = points in cells before c.
+    u64 sum = 0;
+    for (u64& c : cnt) sum += std::exchange(c, sum);
+    return layout;
+}
+
+void HypGrid::cell_points(u32 a, u64 chunk, const ChunkLayout& layout, u64 cell,
+                          HypPoint* out) const {
+    const u64 first = layout.offset[cell];
+    const u64 count = layout.offset[cell + 1] - first;
+    if (count == 0) return;
+
+    // Draw (θ, r) pairs and sort them before the precomputations, so ids are
+    // angle-monotone within the chunk — the streaming generator's sweep and
+    // every angle search depend on it. A layout averages at most 16 points a
+    // cell; a larger cell sorts on the heap.
+    struct Polar {
+        double theta, r;
+        auto operator<=>(const Polar&) const = default;
+    };
+    constexpr u64 kStackCell = 64;
+    std::array<Polar, kStackCell> stack_cell{};
+    std::vector<Polar> heap_cell;
+    Polar* polar = stack_cell.data();
+    if (count > kStackCell) {
+        heap_cell.resize(count);
+        polar = heap_cell.data();
+    }
+    Rng rng = Rng::for_ids(seed_, {kTagPoint, a, chunk, cell});
+    for (u64 i = 0; i < count; ++i) {
+        const double theta =
+            layout.begin + (static_cast<double>(cell) + rng.uniform()) * layout.cell_width;
+        const double r = space_.inv_radial_cosh(layout.cosh_lo, layout.cosh_hi, rng.uniform());
+        polar[i]       = {theta, r};
+    }
+    std::sort(polar, polar + count);
+    for (u64 i = 0; i < count; ++i) {
+        out[first + i] = space_.make_point(layout.first_id + first + i, polar[i].r, polar[i].theta);
+    }
+}
+
+std::vector<HypPoint> HypGrid::chunk_points(u32 a, u64 chunk) const {
+    const ChunkLayout layout = chunk_layout(a, chunk);
+    std::vector<HypPoint> pts(layout.count);
+    for (u64 cell = 0; cell < layout.cells; ++cell) {
+        cell_points(a, chunk, layout, cell, pts.data());
     }
     return pts;
 }

@@ -11,9 +11,10 @@
 /// test brute force) share: the disk is cut into O(log n) constant-height
 /// annuli, each annulus into P angular chunks, each chunk into power-of-two
 /// cells (§7.1/§7.2.1). Counts at every level come from hash-seeded
-/// binomial/multinomial variates, so any PE can recompute any chunk —
-/// including the vertex *ids* — without communication, and the point set
-/// depends only on (params, seed, P), never on which PE asks.
+/// binomial/multinomial variates, so any PE can recompute any chunk, or any
+/// single cell of one — including the vertex *ids* — without communication,
+/// and the point set depends only on (params, seed, P), never on which PE
+/// asks.
 ///
 /// Per §7.2.1, points carry precomputed coth(r), 1/sinh(r), cos(θ), sin(θ):
 /// a distance threshold test then costs five multiplications and two
@@ -22,6 +23,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory_resource>
 #include <numbers>
 #include <utility>
 #include <vector>
@@ -38,15 +40,16 @@ struct Params {
     u64 seed       = 1;
 };
 
-/// A point of the hyperbolic disk with the §7.2.1 precomputations.
+/// A point of the hyperbolic disk with the §7.2.1 precomputations. Trivial,
+/// so a chunk-sized block can be allocated without writing it.
 struct HypPoint {
-    VertexId id       = 0;
-    double r          = 0.0;
-    double theta      = 0.0;
-    double coth_r     = 0.0;
-    double inv_sinh_r = 0.0;
-    double cos_t      = 0.0;
-    double sin_t      = 0.0;
+    VertexId id;
+    double r;
+    double theta;
+    double coth_r;
+    double inv_sinh_r;
+    double cos_t;
+    double sin_t;
 };
 
 /// Model geometry: disk radius, radial distribution, distance predicates.
@@ -125,16 +128,14 @@ public:
     }
 
     HypPoint make_point(VertexId id, double r, double theta) const {
-        HypPoint p;
-        p.id    = id;
-        p.r     = r;
-        p.theta = theta;
         const double sh = std::sinh(r);
-        p.coth_r        = sh > 0.0 ? std::cosh(r) / sh : 0.0;
-        p.inv_sinh_r    = sh > 0.0 ? 1.0 / sh : 0.0;
-        p.cos_t         = std::cos(theta);
-        p.sin_t         = std::sin(theta);
-        return p;
+        return {.id         = id,
+                .r          = r,
+                .theta      = theta,
+                .coth_r     = sh > 0.0 ? std::cosh(r) / sh : 0.0,
+                .inv_sinh_r = sh > 0.0 ? 1.0 / sh : 0.0,
+                .cos_t      = std::cos(theta),
+                .sin_t      = std::sin(theta)};
     }
 
 private:
@@ -144,6 +145,28 @@ private:
     double alpha_;
     double radius_;
     double cosh_r_;
+};
+
+/// Where one (annulus, chunk)'s points live (§7.2.1): power-of-two cells of
+/// equal angle, cell `c` holding the chunk's points [offset[c],
+/// offset[c + 1]) with ids first_id + offset. Because the cell counts come
+/// from the split tree, not from the points, a reader can generate just the
+/// cells it needs and still place them at their final positions.
+struct ChunkLayout {
+    u64 first_id      = 0; ///< global id of the chunk's first point
+    u64 count         = 0; ///< points in the chunk
+    u64 cells         = 1;
+    double begin      = 0.0; ///< angle where cell 0 starts
+    double cell_width = 0.0;
+    double cosh_lo    = 0.0; ///< cosh(α·r) at the annulus' inner boundary
+    double cosh_hi    = 0.0; ///< ... and at its outer boundary
+    std::pmr::vector<u64> offset; ///< cells + 1 entries
+
+    /// The cell whose angular range holds `theta`, clamped to the chunk.
+    u64 cell_of_angle(double theta) const {
+        const double x = (theta - begin) / cell_width;
+        return static_cast<u64>(std::clamp(x, 0.0, static_cast<double>(cells - 1)));
+    }
 };
 
 /// Deterministic annulus/chunk/cell point structure.
@@ -180,8 +203,21 @@ public:
         return {lo, lo + node.count};
     }
 
-    /// The chunk's points, sorted by angle, with their global ids.
-    /// Bit-identical on every PE.
+    /// The chunk's cell layout: its id range, cell geometry and the binomial
+    /// split tree's per-cell offsets, allocated from `mem`. O(log P + cells).
+    ChunkLayout chunk_layout(u32 a, u64 chunk,
+                             std::pmr::memory_resource* mem =
+                                 std::pmr::get_default_resource()) const;
+
+    /// Writes cell `cell` of the chunk laid out by `layout`, sorted by angle
+    /// and with its global ids, to out[offset[cell], offset[cell + 1]).
+    /// Cells are seeded independently, so any subset may be generated in any
+    /// order: this is the one point generator.
+    void cell_points(u32 a, u64 chunk, const ChunkLayout& layout, u64 cell,
+                     HypPoint* out) const;
+
+    /// The chunk's points, sorted by angle, with their global ids: its
+    /// layout, then every cell. Bit-identical on every PE.
     std::vector<HypPoint> chunk_points(u32 a, u64 chunk) const;
 
     /// Every point of the disk (test/baseline helper).

@@ -1,7 +1,10 @@
 #include "rhg/rhg.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <memory_resource>
 #include <numbers>
+#include <span>
 #include <unordered_map>
 
 #include "sink/sinks.hpp"
@@ -11,40 +14,120 @@ namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
-/// Memoizing accessor for recomputed chunks (the §7.1 "recompute non-local
-/// chunks encountered during the search and store them for future
-/// searches"). Keyed by (annulus, chunk) packed into one word; a dense
-/// annuli × P table would grow with P, the cache only with the chunks a
-/// query actually touches. Lookups only — never iterated.
-class ChunkCache {
+/// The §7.1 recomputation of non-local points ("recompute non-local chunks
+/// encountered during the search and store them for future searches"), one
+/// cell at a time: cells are seeded independently, so a window generates
+/// only the cells it reaches. An entry holds one chunk's layout and an
+/// uninitialised chunk-sized point block, the entry's one heap allocation,
+/// whose cells are written when first reached; nothing writes the rest. A
+/// window centred in the own chunk enters a neighbour chunk from one of its
+/// ends, so an entry's generated cells are a prefix and a suffix, and a
+/// complete entry costs one comparison. Entries are keyed by (annulus,
+/// chunk) packed into one word — a dense annuli × P table would grow with P
+/// — and the table, the layouts and the memos share one monotonic arena.
+class CellCache {
 public:
-    explicit ChunkCache(const hyp::HypGrid& grid) : grid_(grid) {}
-
-    const std::vector<hyp::HypPoint>& get(u32 annulus, u64 chunk) {
-        const u64 key = chunk * grid_.num_annuli() + annulus;
-        auto it       = cache_.find(key);
-        if (it == cache_.end()) {
-            it = cache_.emplace(key, grid_.chunk_points(annulus, chunk)).first;
+    /// Generates the own chunk of every annulus whole: each of its points is
+    /// a query source.
+    CellCache(const hyp::HypGrid& grid, u64 rank)
+        : grid_(grid), rank_(rank), entries_(&arena_), own_(&arena_),
+          last_(grid.num_annuli(), Memo{}, &arena_) {
+        own_.reserve(grid.num_annuli());
+        for (u32 a = 0; a < grid.num_annuli(); ++a) {
+            Entry& e = entry(a, rank);
+            fill(e, a, rank, 0, e.layout.cells);
+            own_.push_back(&e);
         }
-        return it->second;
+    }
+
+    std::span<const hyp::HypPoint> own(u32 a) const {
+        return {own_[a]->points.get(), own_[a]->layout.count};
+    }
+
+    /// The points of chunk `c` of annulus `a` that may have an angle in
+    /// [lo, hi], in angle order: the cells the range reaches plus one cell
+    /// either side against rounding, generated on first use.
+    std::span<const hyp::HypPoint> reach(u32 a, u64 c, double lo, double hi) {
+        Entry& e = c == rank_ ? *own_[a] : entry(a, c);
+        const auto& layout = e.layout;
+        if (e.head == e.tail) return {e.points.get(), layout.count};
+        const u64 from = std::max<u64>(layout.cell_of_angle(lo), 1) - 1;
+        const u64 to   = std::min(layout.cell_of_angle(hi) + 2, layout.cells);
+        fill(e, a, c, from, to);
+        return {e.points.get() + layout.offset[from], e.points.get() + layout.offset[to]};
     }
 
 private:
+    struct Entry {
+        hyp::ChunkLayout layout;
+        std::unique_ptr<hyp::HypPoint[]> points; ///< written cell by cell
+        u64 head = 0; ///< cells [0, head) and [tail, cells) are written
+        u64 tail = 0;
+    };
+    struct Memo {
+        u64 chunk    = 0;
+        Entry* entry = nullptr;
+    };
+
+    /// The entry of (a, c), created unfilled; a per-annulus memo of the last
+    /// one spares the hash lookup while a query sweep stays in one chunk.
+    Entry& entry(u32 a, u64 c) {
+        Memo& memo = last_[a];
+        if (memo.entry != nullptr && memo.chunk == c) return *memo.entry;
+        const u64 key = c * grid_.num_annuli() + a;
+        auto it       = entries_.find(key);
+        if (it == entries_.end()) {
+            hyp::ChunkLayout layout = grid_.chunk_layout(a, c, &arena_);
+            std::unique_ptr<hyp::HypPoint[]> points;
+            if (layout.count > 0) {
+                points = std::make_unique_for_overwrite<hyp::HypPoint[]>(layout.count);
+            }
+            const u64 cells = layout.cells;
+            it = entries_.emplace(key, Entry{std::move(layout), std::move(points), 0, cells})
+                     .first;
+        }
+        memo = {c, &it->second};
+        return it->second;
+    }
+
+    /// Generates the cells of [from, to) not generated yet, growing the
+    /// prefix or the suffix over the gap, whichever is nearer.
+    void fill(Entry& e, u32 a, u64 c, u64 from, u64 to) {
+        const u64 lo = std::max(from, e.head);
+        const u64 hi = std::min(to, e.tail);
+        if (lo >= hi) return;
+        const bool grow_head = lo - e.head <= e.tail - hi;
+        const u64 first      = grow_head ? e.head : lo;
+        const u64 last       = grow_head ? hi : e.tail;
+        for (u64 cell = first; cell < last; ++cell) {
+            grid_.cell_points(a, c, e.layout, cell, e.points.get());
+        }
+        if (grow_head) {
+            e.head = last;
+        } else {
+            e.tail = first;
+        }
+    }
+
     const hyp::HypGrid& grid_;
-    std::unordered_map<u64, std::vector<hyp::HypPoint>> cache_;
+    u64 rank_;
+    std::pmr::monotonic_buffer_resource arena_;
+    std::pmr::unordered_map<u64, Entry> entries_;
+    std::pmr::vector<Entry*> own_;
+    std::pmr::vector<Memo> last_;
 };
 
 /// Invokes `fn(u, c)` for every point `u` of annulus `a` whose angle lies
 /// within [center - width, center + width] (mod 2π), `c` being u's chunk.
 /// Exploits the chunk points' angle order via binary search.
 template <typename F>
-void for_candidates(ChunkCache& cache, const hyp::HypGrid& grid, u32 a, double center,
+void for_candidates(CellCache& cache, const hyp::HypGrid& grid, u32 a, double center,
                     double width, F&& fn) {
     const auto scan = [&](double lo, double hi) { // 0 <= lo <= hi <= 2π
         const u64 c_lo = grid.chunk_of_angle(lo);
         const u64 c_hi = grid.chunk_of_angle(std::nextafter(hi, 0.0));
         for (u64 c = c_lo; c <= c_hi; ++c) {
-            const auto& pts = cache.get(a, c);
+            const auto pts = cache.reach(a, c, lo, hi);
             auto it = std::lower_bound(pts.begin(), pts.end(), lo,
                                        [](const hyp::HypPoint& p, double v) {
                                            return p.theta < v;
@@ -101,7 +184,7 @@ void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& 
     const auto& space      = grid.space();
     const u32 num_annuli   = grid.num_annuli();
     const bool partitioned = semantics == EdgeSemantics::as_generated;
-    ChunkCache cache(grid);
+    CellCache cache(grid, rank);
 
     std::vector<hyp::Space::Radius> lower(num_annuli);
     for (u32 j = 0; j < num_annuli; ++j) {
@@ -109,7 +192,7 @@ void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& 
     }
 
     for (u32 a = 0; a < num_annuli; ++a) {
-        for (const auto& v : cache.get(a, rank)) {
+        for (const auto& v : cache.own(a)) {
             const auto rv = hyp::Space::radius_of(v.r);
             // Annulus-wise query (§7.1) with the Lemma-10 window from each
             // annulus' lower boundary. Ids are annulus-major, so querying

@@ -6,8 +6,9 @@
 ///
 ///  * `generate_inmemory` (§7.1, "RHG") — query-centric: each PE generates
 ///    its chunk's vertices, then for every vertex performs an annulus-wise
-///    neighbourhood query, recomputing non-local chunks on demand through a
-///    chunk cache, and streams each edge to the sink the moment it is found.
+///    neighbourhood query, recomputing on demand only the non-local cells
+///    its window reaches (cells are seeded independently), and streams each
+///    edge to the sink the moment it is found.
 ///    Querying only the vertex's own and outer annuli finds every edge once,
 ///    from its lower-id endpoint (exact_once by construction); the default
 ///    partitioned output (§7.1: every edge incident to a local vertex is

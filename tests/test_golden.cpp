@@ -55,6 +55,10 @@ const GoldenCase kCases[] = {
     // annulus query loop unsorted, so this pins the loop, not just the set.
     {"rhg_n2048_d8_g2.8_s7_r1of4_exact_once.bin", Model::Rhg, 2048, 0, 0.0, 0.0,
      7, 1, 4, 8.0, 2.8, EdgeSemantics::exact_once},
+    // The default (as_generated) in-memory RHG stream, also in query order.
+    // n = 2^13 on 2 chunks puts >= 64 cells in each outer-annulus chunk, so
+    // the neighbour chunk is only partly reached by the boundary windows.
+    {"rhg_n8192_d8_g3_s5_r1of2.bin", Model::Rhg, 8192, 0, 0.0, 0.0, 5, 1, 2},
     // R-MAT's alias-table stream: log_n = 12 = 5 + 5 + 2, so this also pins
     // the partial last draw.
     {"rmat_n4096_m4096_s7_r1of2.bin", Model::Rmat, 4096, 4096, 0.0, 0.0, 7, 1, 2},

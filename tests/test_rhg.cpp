@@ -3,9 +3,13 @@
 // (average degree, power-law exponent) must match the parameters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <random>
 #include <set>
+#include <string>
 
 #include "graph/stats.hpp"
 #include "hyperbolic/hyperbolic.hpp"
@@ -141,6 +145,81 @@ TEST(RhgPoints, PointsLieInTheirAnnulusAndChunk) {
                 prev_theta = p.theta;
             }
         }
+    }
+}
+
+TEST(RhgPoints, CellwiseMaterialisationEqualsChunkPoints) {
+    // The in-memory generator's cache builds neighbour chunks one cell at a
+    // time, in whatever order windows reach them; the result must be the
+    // very bytes chunk_points produces. Slots start as a 0xA5 pattern, so a
+    // cell written short or at the wrong offset shows up in the memcmp.
+    std::mt19937_64 shuffle_rng(42);
+    u64 empty_chunks = 0, max_cell = 0;
+    for (const u64 seed : {5, 6}) {
+        const hyp::Params params{6000, 12, 2.6, seed};
+        for (const u64 P : {1, 4, 16, 64}) {
+            const hyp::HypGrid grid(params, P);
+            for (u32 a = 0; a < grid.num_annuli(); ++a) {
+                for (u64 c = 0; c < P; ++c) {
+                    SCOPED_TRACE("seed " + std::to_string(seed) + " P " + std::to_string(P) +
+                                 " annulus " + std::to_string(a) + " chunk " +
+                                 std::to_string(c));
+                    const auto expect             = grid.chunk_points(a, c);
+                    const hyp::ChunkLayout layout = grid.chunk_layout(a, c);
+                    ASSERT_EQ(layout.count, expect.size());
+                    ASSERT_EQ(layout.offset.size(), layout.cells + 1);
+                    ASSERT_EQ(layout.offset.back(), layout.count);
+                    EXPECT_EQ(layout.first_id, grid.chunk_id_range(a, c).first);
+                    if (layout.count == 0) {
+                        grid.cell_points(a, c, layout, 0, nullptr); // writes nothing
+                        ++empty_chunks;
+                        continue;
+                    }
+
+                    std::vector<u64> order(layout.cells);
+                    std::iota(order.begin(), order.end(), u64{0});
+                    std::shuffle(order.begin(), order.end(), shuffle_rng);
+                    std::vector<hyp::HypPoint> got(layout.count);
+                    std::memset(got.data(), 0xA5, got.size() * sizeof(hyp::HypPoint));
+                    for (const u64 cell : order) {
+                        grid.cell_points(a, c, layout, cell, got.data());
+                        max_cell = std::max(max_cell,
+                                            layout.offset[cell + 1] - layout.offset[cell]);
+                    }
+                    EXPECT_EQ(std::memcmp(got.data(), expect.data(),
+                                          got.size() * sizeof(hyp::HypPoint)),
+                              0);
+                }
+            }
+        }
+    }
+    EXPECT_GT(empty_chunks, 0u);
+    EXPECT_GT(max_cell, 8u);
+
+    // A layout averages at most 16 points a cell, so no real cell reaches
+    // past cell_points' 64-point stack buffer; a hand-made one-cell layout
+    // over an outer chunk checks that such a cell, sorted on the heap, still
+    // comes out angle-sorted with consecutive ids and exact precomputed
+    // fields.
+    const hyp::HypGrid grid(hyp::Params{6000, 12, 2.6, 5}, 1);
+    const u32 a          = grid.num_annuli() - 1;
+    hyp::ChunkLayout big = grid.chunk_layout(a, 0);
+    big.cells            = 1;
+    big.cell_width       = grid.chunk_width();
+    big.offset           = {0, big.count};
+    ASSERT_GT(big.count, 64u);
+    std::vector<hyp::HypPoint> pts(big.count);
+    grid.cell_points(a, 0, big, 0, pts.data());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        const auto& p = pts[i];
+        EXPECT_EQ(p.id, big.first_id + i);
+        if (i > 0) EXPECT_LE(pts[i - 1].theta, p.theta);
+        EXPECT_GE(p.theta, 0.0);
+        EXPECT_LT(p.theta, grid.chunk_width());
+        EXPECT_GE(p.r, grid.annulus_lower(a));
+        EXPECT_LE(p.r, grid.annulus_upper(a));
+        const hyp::HypPoint ref = grid.space().make_point(p.id, p.r, p.theta);
+        EXPECT_EQ(std::memcmp(&p, &ref, sizeof p), 0);
     }
 }
 
