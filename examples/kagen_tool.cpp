@@ -11,18 +11,18 @@
 //    O(buffer) memory; the ordered file sink holds completed-but-not-yet-
 //    delivered chunks in a byte-budgeted window, spilling past it — see
 //    -max-buffered-bytes and DESIGN.md §5).
-//  * distributed backend (-ranks N -sink ...): forks N worker PROCESSES,
-//    each generating a contiguous share of the same chunk decomposition in
-//    its own address space with zero inter-worker communication; the
-//    coordinator merges per-rank files/stats. Output is byte-identical to
-//    the single-process -sink run with the same -pes/-chunks-per-pe
-//    (DESIGN.md §8).
-//  * multi-node TCP backend (-listen/-connect ... -sink ..., workers run
-//    `kagen_tool -worker host:port`): the same decomposition and merge over
-//    sockets instead of fork+pipes, so the workers can live on other
-//    machines. Output is byte-identical to both paths above; `-manifest`
-//    instead of `-o` leaves each rank file on its worker's machine and
-//    writes a text manifest naming every piece (DESIGN.md §11).
+//  * distributed backend: one coordinator, two transports (DESIGN.md §8).
+//    `-ranks N -sink ...` forks N worker PROCESSES, each talking to the
+//    coordinator over a socketpair; `-listen/-connect ... -sink ...` reaches
+//    workers that run `kagen_tool -worker host:port`, possibly on other
+//    machines, over TCP. Every rank generates a contiguous share of the
+//    same chunk decomposition in its own address space with zero
+//    inter-worker communication, and the coordinator merges the per-rank
+//    files/stats. Output is byte-identical to the single-process -sink run
+//    with the same -pes/-chunks-per-pe. Forked ranks' files are joined
+//    locally with copy_file_range; TCP workers stream theirs back, or —
+//    with `-manifest` instead of `-o` — keep each rank file on its worker's
+//    machine and the coordinator writes a text manifest naming every piece.
 //
 // Every flag value is parsed strictly: non-numeric, trailing-garbage,
 // out-of-range, and valueless flags all exit 2 with a diagnostic instead of
@@ -51,27 +51,6 @@ using namespace kagen;
 namespace {
 
 u64 g_verbose = 0; // -v LEVEL
-
-// Engine-stats tail shared by every file-producing backend. The TCP
-// summary used to print only merged_bytes, silently dropping the
-// spill/recycle/zero-copy accounting the fork backend reported — one
-// formatter keeps the backends honest about the same fields.
-std::string engine_stats_str(u64 peak_buffered, u64 spilled_chunks,
-                             u64 spilled_bytes, u64 buffers_recycled,
-                             u64 merged_bytes, u64 cfr_bytes) {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "peak_buffered_bytes=%llu spilled_chunks=%llu "
-                  "spilled_bytes=%llu buffers_recycled=%llu merged_bytes=%llu "
-                  "copy_file_range_bytes=%llu",
-                  static_cast<unsigned long long>(peak_buffered),
-                  static_cast<unsigned long long>(spilled_chunks),
-                  static_cast<unsigned long long>(spilled_bytes),
-                  static_cast<unsigned long long>(buffers_recycled),
-                  static_cast<unsigned long long>(merged_bytes),
-                  static_cast<unsigned long long>(cfr_bytes));
-    return buf;
-}
 
 // -v: per-worker pool utilization (busy ns, tasks) straight
 // from the metrics registry. In-process pools only — forked/TCP workers
@@ -152,7 +131,7 @@ void print_help(std::FILE* out, const char* argv0) {
         "  -keep-rank-files 1    keep the per-rank scratch files after the merge\n"
         "\n"
         "Multi-node TCP backend (coordinator side; requires -sink count|stats|file,\n"
-        "workers run `%s -worker ...` on their machines — DESIGN.md section 11):\n"
+        "workers run `%s -worker ...` on their machines — DESIGN.md section 8):\n"
         "  -listen H:P    accept -expect-workers worker dial-ins on host:port\n"
         "              (\":P\" listens on every interface)\n"
         "  -connect LIST  dial the comma-separated worker endpoints\n"
@@ -260,73 +239,16 @@ std::vector<std::string> split_commas(const std::string& list) {
     return out;
 }
 
+// Both distributed transports through one coordinator, one summary:
+// `ranks` forked processes (-ranks N), or — with ranks == 0 — the TCP
+// workers `opts` describes (-listen/-connect). The printed label says
+// which: "ranks=" or "workers=".
 int run_distributed_sink(const Config& cfg, const std::string& kind, u64 ranks,
-                         u64 pes, u64 threads_per_rank, bool keep_rank_files,
-                         const char* out_path, const char* dedup_out,
-                         u64 sort_memory) {
-    dist::DistOptions opts;
-    opts.num_ranks        = ranks;
-    opts.num_pes          = pes;
-    opts.threads_per_rank = threads_per_rank;
-    opts.keep_rank_files  = keep_rank_files;
-    if (kind == "file") {
-        if (out_path == nullptr) {
-            std::fprintf(stderr, "-ranks with -sink file requires -o FILE\n");
-            return 2;
-        }
-        opts.output_path = out_path;
-        if (dedup_out != nullptr) {
-            opts.dedup_path  = dedup_out;
-            opts.sort_memory = sort_memory;
-        }
-    } else if (kind == "stats") {
-        opts.degree_stats = true;
-    } else if (kind != "count") {
-        std::fprintf(stderr, "-ranks requires -sink count|stats|file, got '%s'\n",
-                     kind.c_str());
-        return 2;
-    }
-    const dist::DistResult res = generate_distributed(cfg, opts);
-    if (kind == "count") {
-        std::printf("model=%s n=%llu %s ranks=%llu chunks=%llu seconds=%.6f\n",
-                    model_name(cfg.model), static_cast<unsigned long long>(res.n),
-                    res.count.str().c_str(),
-                    static_cast<unsigned long long>(res.num_ranks),
-                    static_cast<unsigned long long>(res.num_chunks), res.seconds);
-        return 0;
-    }
-    if (kind == "stats") {
-        std::printf("model=%s n=%llu %s ranks=%llu chunks=%llu seconds=%.6f\n",
-                    model_name(cfg.model), static_cast<unsigned long long>(res.n),
-                    res.degrees.str().c_str(),
-                    static_cast<unsigned long long>(res.num_ranks),
-                    static_cast<unsigned long long>(res.num_chunks), res.seconds);
-        return 0;
-    }
-    std::printf("model=%s n=%llu edges[%s]=%llu -> %s (binary) ranks=%llu "
-                "chunks=%llu seconds=%.6f %s copy_file_range_used=%d\n",
-                model_name(cfg.model), static_cast<unsigned long long>(res.n),
-                semantics_name(cfg.edge_semantics),
-                static_cast<unsigned long long>(res.edges_written), out_path,
-                static_cast<unsigned long long>(res.num_ranks),
-                static_cast<unsigned long long>(res.num_chunks), res.seconds,
-                engine_stats_str(res.peak_buffered_bytes, res.spilled_chunks,
-                                 res.spilled_bytes, res.buffers_recycled,
-                                 res.merged_bytes, res.copy_file_range_bytes)
-                    .c_str(),
-                res.copy_file_range_used() ? 1 : 0);
-    if (dedup_out != nullptr) {
-        std::printf("dedup -> %s unique_edges=%llu sort_memory_bytes=%llu\n",
-                    dedup_out, static_cast<unsigned long long>(res.dedup_edges),
-                    static_cast<unsigned long long>(sort_memory));
-    }
-    return 0;
-}
-
-int run_net_sink(const Config& cfg, const std::string& kind,
-                 net::NetOptions opts, const char* out_path,
-                 const char* manifest_path, const char* dedup_out,
-                 u64 sort_memory) {
+                         net::NetOptions opts, bool keep_rank_files,
+                         const char* out_path, const char* manifest_path,
+                         const char* dedup_out, u64 sort_memory) {
+    const bool tcp    = ranks == 0;
+    const char* label = tcp ? "workers" : "ranks";
     if (kind == "file") {
         if (manifest_path != nullptr) {
             opts.manifest_path = manifest_path;
@@ -337,27 +259,39 @@ int run_net_sink(const Config& cfg, const std::string& kind,
                 opts.sort_memory = sort_memory;
             }
         } else {
-            std::fprintf(
-                stderr,
-                "multi-node -sink file requires -o FILE (gather) or "
-                "-manifest FILE (partitioned)\n");
+            std::fprintf(stderr, tcp ? "multi-node -sink file requires -o FILE "
+                                       "(gather) or -manifest FILE (partitioned)\n"
+                                     : "-ranks with -sink file requires -o FILE\n");
             return 2;
         }
     } else if (kind == "stats") {
         opts.degree_stats = true;
     } else if (kind != "count") {
-        std::fprintf(stderr,
-                     "-listen/-connect requires -sink count|stats|file, got '%s'\n",
-                     kind.c_str());
+        std::fprintf(stderr, "%s requires -sink count|stats|file, got '%s'\n",
+                     tcp ? "-listen/-connect" : "-ranks", kind.c_str());
         return 2;
     }
-    const net::NetResult res = net::run_net_coordinator(cfg, opts);
+    dist::DistResult res;
+    if (tcp) {
+        res = net::run_net_coordinator(cfg, opts);
+    } else {
+        dist::DistOptions fork;
+        fork.num_ranks        = ranks;
+        fork.num_pes          = opts.num_pes;
+        fork.threads_per_rank = opts.threads_per_worker;
+        fork.output_path      = opts.output_path;
+        fork.keep_rank_files  = keep_rank_files;
+        fork.degree_stats     = opts.degree_stats;
+        fork.dedup_path       = opts.dedup_path;
+        fork.sort_memory      = opts.sort_memory;
+        res = generate_distributed(cfg, fork);
+    }
     if (kind == "count" || kind == "stats") {
-        std::printf("model=%s n=%llu %s workers=%llu chunks=%llu seconds=%.6f\n",
+        std::printf("model=%s n=%llu %s %s=%llu chunks=%llu seconds=%.6f\n",
                     model_name(cfg.model), static_cast<unsigned long long>(res.n),
                     kind == "count" ? res.count.str().c_str()
                                     : res.degrees.str().c_str(),
-                    static_cast<unsigned long long>(res.num_workers),
+                    label, static_cast<unsigned long long>(res.num_ranks),
                     static_cast<unsigned long long>(res.num_chunks), res.seconds);
         return 0;
     }
@@ -373,17 +307,25 @@ int run_net_sink(const Config& cfg, const std::string& kind,
                     static_cast<unsigned long long>(res.num_chunks), res.seconds);
         return 0;
     }
-    std::printf("model=%s n=%llu edges[%s]=%llu -> %s (binary) workers=%llu "
-                "chunks=%llu seconds=%.6f %s\n",
+    // Only a local join (forked ranks) can use copy_file_range; a TCP
+    // gather streams every byte, so its line has no verdict to print.
+    std::printf("model=%s n=%llu edges[%s]=%llu -> %s (binary) %s=%llu "
+                "chunks=%llu seconds=%.6f peak_buffered_bytes=%llu "
+                "spilled_chunks=%llu spilled_bytes=%llu buffers_recycled=%llu "
+                "merged_bytes=%llu copy_file_range_bytes=%llu%s\n",
                 model_name(cfg.model), static_cast<unsigned long long>(res.n),
                 semantics_name(cfg.edge_semantics),
-                static_cast<unsigned long long>(res.edges_written), out_path,
-                static_cast<unsigned long long>(res.num_workers),
+                static_cast<unsigned long long>(res.edges_written), out_path, label,
+                static_cast<unsigned long long>(res.num_ranks),
                 static_cast<unsigned long long>(res.num_chunks), res.seconds,
-                engine_stats_str(res.peak_buffered_bytes, res.spilled_chunks,
-                                 res.spilled_bytes, res.buffers_recycled,
-                                 res.merged_bytes, 0)
-                    .c_str());
+                static_cast<unsigned long long>(res.peak_buffered_bytes),
+                static_cast<unsigned long long>(res.spilled_chunks),
+                static_cast<unsigned long long>(res.spilled_bytes),
+                static_cast<unsigned long long>(res.buffers_recycled),
+                static_cast<unsigned long long>(res.merged_bytes),
+                static_cast<unsigned long long>(res.copy_file_range_bytes),
+                tcp ? "" : res.copy_file_range_used() ? " copy_file_range_used=1"
+                                                      : " copy_file_range_used=0");
     if (dedup_out != nullptr) {
         std::printf("dedup -> %s unique_edges=%llu sort_memory_bytes=%llu\n",
                     dedup_out, static_cast<unsigned long long>(res.dedup_edges),
@@ -709,15 +651,12 @@ int main(int argc, char** argv) {
 
     try {
         int rc;
-        if (net_mode) {
+        if (net_mode || ranks != 0) {
             net_opts.num_pes            = pes;
             net_opts.threads_per_worker = threads_per_rank;
-            rc = run_net_sink(cfg, sink_kind, net_opts, out_path,
-                              manifest_path, dedup_out, sort_memory);
-        } else if (ranks != 0) {
-            rc = run_distributed_sink(cfg, sink_kind, ranks, pes,
-                                      threads_per_rank, keep_rank_files,
-                                      out_path, dedup_out, sort_memory);
+            rc = run_distributed_sink(cfg, sink_kind, ranks, net_opts,
+                                      keep_rank_files, out_path, manifest_path,
+                                      dedup_out, sort_memory);
         } else if (!sink_kind.empty()) {
             rc = run_chunked_sink(cfg, sink_kind, pes, out_path, dedup_out,
                                   sort_memory);

@@ -1,12 +1,11 @@
 /// \file bytes.hpp
 /// \brief Tiny explicit-layout byte serialization used by the mergeable sink
-///        summaries (sink/sinks.hpp) and the distributed stats pipe
-///        (dist/ipc.hpp).
+///        summaries (sink/sinks.hpp) and the distributed backend's
+///        messages (dist/ipc.hpp, net/protocol.hpp).
 ///
 /// Fixed little-endian encoding rather than raw struct memcpy: the frames
-/// cross a process boundary (coordinator ↔ forked worker today, potentially
-/// a socket tomorrow), so the layout must not depend on padding or host
-/// endianness. Decoding is bounds-checked and throws on truncation — a
+/// cross a process boundary (coordinator ↔ forked or remote worker), so
+/// the layout must not depend on padding or host endianness. Decoding is bounds-checked and throws on truncation — a
 /// worker that died mid-frame must surface as a clean error, never as a
 /// read past the end of the received buffer.
 #pragma once

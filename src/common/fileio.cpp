@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace kagen::fileio {
@@ -77,6 +80,64 @@ void write_all(int fd, const void* data, std::size_t bytes) {
         p += n;
         bytes -= static_cast<std::size_t>(n);
     }
+}
+
+bool read_exact(int fd, void* data, std::size_t bytes) {
+    char* p          = static_cast<char*>(data);
+    std::size_t done = 0;
+    while (done < bytes) {
+        const ssize_t n = ::read(fd, p + done, bytes - done);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            throw_errno("read failed");
+        }
+        if (n == 0) {
+            if (done == 0) return false;
+            throw std::runtime_error("fileio: unexpected EOF mid-read");
+        }
+        done += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+std::string scratch_dir(const std::string& configured) {
+    if (!configured.empty()) return configured;
+    const char* tmpdir = std::getenv("TMPDIR");
+    return tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp";
+}
+
+int open_rank_file(const std::string& path, u64 expected_edges) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        throw std::runtime_error("fileio: cannot open rank file '" + path +
+                                 "': " + std::strerror(errno));
+    }
+    try {
+        u64 header = 0;
+        if (!read_exact(fd, &header, sizeof(header))) {
+            throw std::runtime_error("fileio: rank file '" + path +
+                                     "' has no header");
+        }
+        if (header != expected_edges) {
+            throw std::runtime_error(
+                "fileio: rank file '" + path + "' header claims " +
+                std::to_string(header) + " edges, its rank reported " +
+                std::to_string(expected_edges));
+        }
+        struct stat st{};
+        if (::fstat(fd, &st) != 0) throw_errno("fstat on a rank file failed");
+        const u64 expected_bytes = 8 + 16 * expected_edges;
+        if (static_cast<u64>(st.st_size) != expected_bytes) {
+            throw std::runtime_error(
+                "fileio: rank file '" + path + "' is " +
+                std::to_string(st.st_size) + " bytes, expected " +
+                std::to_string(expected_bytes));
+        }
+    } catch (...) {
+        close_or_warn(fd, "rank file (validation failed)");
+        throw;
+    }
+    return fd;
 }
 
 CopyStats copy_bytes(int in_fd, int out_fd, u64 length,

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "common/types.hpp"
 
@@ -38,6 +39,21 @@ void close_or_warn(int fd, const char* what) noexcept;
 /// failure is reported to stderr. Never throws; callers on cleanup paths
 /// cannot do anything better than proceed.
 void unlink_or_warn(const char* path, const char* what) noexcept;
+
+/// Reads exactly `bytes` from `fd`, looping over EINTR and partial reads.
+/// Returns false on EOF at offset 0; throws on EOF mid-buffer or an I/O
+/// error, so a truncated file never reads as a short one.
+bool read_exact(int fd, void* data, std::size_t bytes);
+
+/// Directory for rank files: `configured` when set, else $TMPDIR, else /tmp.
+std::string scratch_dir(const std::string& configured);
+
+/// Opens a rank file (graph/io binary layout: u64 edge-count header, 16
+/// bytes per edge) and checks it against the edge count its rank reported:
+/// the header must equal `expected_edges` and the size 8 + 16 per edge.
+/// Returns the descriptor positioned just past the header, ready for
+/// copy_bytes; throws a message naming the file on any mismatch.
+int open_rank_file(const std::string& path, u64 expected_edges);
 
 /// Outcome of one copy_bytes call.
 struct CopyStats {

@@ -1,34 +1,11 @@
 #include "dist/ipc.hpp"
 
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "common/bytes.hpp"
-#include "common/fileio.hpp"
 
 namespace kagen::dist {
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-    throw std::runtime_error("dist ipc: " + what + ": " + std::strerror(errno));
-}
-
-void write_all(int fd, const void* data, std::size_t bytes) {
-    const char* p = static_cast<const char*>(data);
-    while (bytes > 0) {
-        const ssize_t n = ::write(fd, p, bytes);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            throw_errno("pipe write failed");
-        }
-        p += n;
-        bytes -= static_cast<std::size_t>(n);
-    }
-}
 
 void put_chunk_run_stats(std::vector<u8>& out, const pe::ChunkRunStats& s) {
     bytes::put_u64(out, s.num_chunks);
@@ -93,78 +70,6 @@ RankReport deserialize_report(const std::vector<u8>& payload) {
     if (report.has_degrees) report.degrees = DegreeStatsSummary::deserialize(p, end);
     if (p != end) throw std::runtime_error("dist ipc: trailing bytes in report frame");
     return report;
-}
-
-StatsPipe::StatsPipe() {
-    int fds[2];
-    if (::pipe2(fds, O_CLOEXEC) != 0) throw_errno("cannot create stats pipe");
-    read_fd_  = fds[0];
-    write_fd_ = fds[1];
-}
-
-StatsPipe::~StatsPipe() {
-    close_read();
-    close_write();
-}
-
-void StatsPipe::close_read() {
-    // Pipe halves carry no durable data; a close error is a logic bug
-    // (double close) worth a warning, never a recoverable condition.
-    fileio::close_or_warn(read_fd_, "stats pipe (read half)");
-    read_fd_ = -1;
-}
-
-void StatsPipe::close_write() {
-    fileio::close_or_warn(write_fd_, "stats pipe (write half)");
-    write_fd_ = -1;
-}
-
-bool read_exact(int fd, void* data, std::size_t bytes) {
-    char* p          = static_cast<char*>(data);
-    std::size_t done = 0;
-    while (done < bytes) {
-        const ssize_t n = ::read(fd, p + done, bytes - done);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            throw_errno("read failed");
-        }
-        if (n == 0) {
-            if (done == 0) return false;
-            // A torn frame / truncated file must not decode as a short one.
-            throw std::runtime_error("dist ipc: unexpected EOF mid-read");
-        }
-        done += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-void write_frame(int fd, const std::vector<u8>& payload) {
-    std::vector<u8> header;
-    bytes::put_u64(header, kFrameMagic);
-    bytes::put_u64(header, payload.size());
-    write_all(fd, header.data(), header.size());
-    if (!payload.empty()) write_all(fd, payload.data(), payload.size());
-}
-
-bool read_frame(int fd, std::vector<u8>& payload) {
-    u8 header[16];
-    if (!read_exact(fd, header, sizeof(header))) return false;
-    const u8* p    = header;
-    const u8* end  = header + sizeof(header);
-    const u64 magic = bytes::get_u64(p, end);
-    const u64 size  = bytes::get_u64(p, end);
-    if (magic != kFrameMagic) {
-        throw std::runtime_error("dist ipc: bad frame magic");
-    }
-    if (size > kMaxFrameBytes) {
-        throw std::runtime_error("dist ipc: implausible frame size " +
-                                 std::to_string(size));
-    }
-    payload.resize(size);
-    if (size > 0 && !read_exact(fd, payload.data(), size)) {
-        throw std::runtime_error("dist ipc: torn frame (worker died mid-report)");
-    }
-    return true;
 }
 
 } // namespace kagen::dist

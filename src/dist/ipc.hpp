@@ -1,19 +1,14 @@
 /// \file ipc.hpp
-/// \brief Coordinator ↔ worker stats pipe for the distributed runner.
+/// \brief The end-of-run rank report and its wire layout.
 ///
 /// The paper's generators need *zero* communication to produce the graph;
-/// the only bytes that ever cross a process boundary in dist/ are a single
-/// tiny end-of-run report per worker — its `pe::ChunkRunStats`, the edge
-/// count of its rank file, and the mergeable sink summaries
-/// (sink/sinks.hpp) — or, if the worker failed, the error message. This
-/// header is that wire protocol: one anonymous pipe per worker, one framed
-/// message per lifetime.
-///
-/// Frames are `[magic u64][payload bytes u64][payload]` with the payload in
-/// the explicit little-endian layout of common/bytes.hpp. A worker that
-/// dies before (or while) writing its frame is detected as a clean EOF /
-/// truncation by `read_frame`, never as garbage decoded into a report —
-/// the coordinator then attributes the failure from `waitpid` status.
+/// the only bytes a rank sends back are one tiny end-of-run report — its
+/// `pe::ChunkRunStats`, the edge count of its rank file, and the mergeable
+/// sink summaries (sink/sinks.hpp) — or, if the rank failed, the error
+/// message. This header is that report and its little-endian encoding
+/// (common/bytes.hpp); net/protocol.hpp carries it as the `report` message
+/// over a socket, whether the rank is a forked child on a socketpair or a
+/// TCP worker on another machine.
 #pragma once
 
 #include <string>
@@ -25,8 +20,7 @@
 
 namespace kagen::dist {
 
-/// Frame header constants, shared by the pipe transport here and the TCP
-/// transport (net/socket.hpp): every frame is
+/// Frame header constants of net/socket.hpp: every frame is
 /// `[kFrameMagic u64][payload bytes u64][payload]`, little-endian.
 constexpr u64 kFrameMagic = 0x4b47444953545321ULL; // "KGDIST!" + version nibble
 
@@ -64,44 +58,5 @@ std::vector<u8> serialize_report(const RankReport& report);
 
 /// Decodes a frame payload; throws std::runtime_error on malformed input.
 RankReport deserialize_report(const std::vector<u8>& payload);
-
-/// Anonymous pipe with both descriptors O_CLOEXEC. The coordinator keeps
-/// the read end; the forked worker keeps the write end (fork inherits
-/// descriptors regardless of CLOEXEC — the flag protects against *exec'd*
-/// grandchildren, same policy as the sinks').
-class StatsPipe {
-public:
-    StatsPipe();
-    ~StatsPipe();
-
-    StatsPipe(const StatsPipe&)            = delete;
-    StatsPipe& operator=(const StatsPipe&) = delete;
-
-    int read_fd() const { return read_fd_; }
-    int write_fd() const { return write_fd_; }
-
-    /// Role commitment after fork: the worker closes the read end, the
-    /// coordinator closes the write end (so worker death yields EOF).
-    void close_read();
-    void close_write();
-
-private:
-    int read_fd_  = -1;
-    int write_fd_ = -1;
-};
-
-/// Writes one frame; loops over partial writes/EINTR. Throws on I/O error
-/// (e.g. the coordinator died and the pipe is broken).
-void write_frame(int fd, const std::vector<u8>& payload);
-
-/// Reads one frame into `payload`. Returns false on clean EOF before the
-/// first byte (worker died without reporting); throws on a torn or
-/// malformed frame.
-bool read_frame(int fd, std::vector<u8>& payload);
-
-/// Reads exactly `bytes` from `fd`, looping over EINTR and partial reads.
-/// Returns false on EOF at offset 0; throws on EOF mid-buffer or I/O
-/// error. Shared by the frame reader and the rank-file merge.
-bool read_exact(int fd, void* data, std::size_t bytes);
 
 } // namespace kagen::dist

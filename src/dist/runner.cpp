@@ -3,36 +3,22 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/fileio.hpp"
-#include "common/math.hpp"
-#include "graph/em_sort.hpp"
 #include "kagen.hpp"
-#include "obs/trace.hpp"
+#include "net/coordinator.hpp"
+#include "net/worker.hpp"
 
 namespace kagen::dist {
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-    throw std::runtime_error("generate_distributed: " + what + ": " +
-                             std::strerror(errno));
-}
-
-std::string scratch_base(const DistOptions& opt) {
-    if (!opt.scratch_dir.empty()) return opt.scratch_dir;
-    const char* tmpdir = std::getenv("TMPDIR");
-    return tmpdir && *tmpdir ? tmpdir : "/tmp";
-}
 
 /// Distinguishes concurrent distributed runs of one coordinator process in
 /// the rank-file names (the pid alone covers concurrent processes).
@@ -64,78 +50,6 @@ private:
     DegreeStatsSink* degrees_;
 };
 
-/// Everything a worker process does after the fork. Never returns: the
-/// child must leave via _exit so it cannot run the coordinator's atexit
-/// handlers or flush inherited stdio buffers twice.
-[[noreturn]] void worker_main(const Config& cfg, const DistOptions& opt, u64 rank,
-                              u64 num_chunks, u64 chunk_begin, u64 chunk_end,
-                              const std::string& rank_path, int write_fd) {
-    // A coordinator that died (or closed its read end after a decode
-    // failure) must surface as EPIPE from the frame write — not kill the
-    // worker with SIGPIPE before the error path can run.
-    ::signal(SIGPIPE, SIG_IGN);
-    RankReport report;
-    report.rank        = rank;
-    report.chunk_begin = chunk_begin;
-    report.chunk_end   = chunk_end;
-    int exit_code      = 0;
-    // Telemetry request rides the inherited Config (fork shares the memory
-    // image; the TCP twin gets the same bit via JobSpec::want_trace).
-    const bool want_telemetry =
-        !cfg.trace_path.empty() || !cfg.metrics_path.empty();
-    obs::Snapshot obs_base;
-    if (want_telemetry) obs_base = obs::begin_rank_telemetry();
-    try {
-        if (opt.rank_hook) opt.rank_hook(rank);
-
-        RankJob job;
-        job.rank         = rank;
-        job.num_chunks   = num_chunks;
-        job.chunk_begin  = chunk_begin;
-        job.chunk_end    = chunk_end;
-        job.threads      = opt.threads_per_rank;
-        job.degree_stats = opt.degree_stats;
-        job.rank_path    = rank_path;
-        report           = execute_rank_job(cfg, job);
-    } catch (const std::exception& e) {
-        report.ok    = false;
-        report.error = e.what();
-        exit_code    = 1;
-    } catch (...) {
-        report.ok    = false;
-        report.error = "unknown exception";
-        exit_code    = 1;
-    }
-    try {
-        write_frame(write_fd, serialize_report(report));
-        if (want_telemetry) {
-            // Second frame on the same pipe, version-free: the coordinator
-            // reads it exactly when it asked for it. clock_base stays 0 —
-            // fork workers share the machine's CLOCK_MONOTONIC, so their
-            // timelines land on the coordinator clock with no offset.
-            obs::RankTelemetry telemetry =
-                obs::end_rank_telemetry(rank, obs_base);
-            write_frame(write_fd, obs::serialize_telemetry(telemetry));
-        }
-    } catch (...) {
-        exit_code = 1; // coordinator gone; nothing left to report to
-    }
-    // The process is about to _exit; the pipe fd dies with it either way.
-    fileio::close_or_warn(write_fd, "stats pipe");
-    ::_exit(exit_code);
-}
-
-struct Worker {
-    pid_t pid = -1;
-    std::unique_ptr<StatsPipe> pipe;
-    std::string rank_path;
-};
-
-void remove_file(const std::string& path) {
-    // Cleanup of partial/temporary files on failure paths: best effort.
-    fileio::unlink_or_warn(path.c_str(), "partial output");
-}
-
 /// Human-readable death cause from a waitpid status.
 std::string describe_status(int status) {
     if (WIFEXITED(status)) {
@@ -153,61 +67,56 @@ int wait_for(pid_t pid) {
     int status = 0;
     for (;;) {
         if (::waitpid(pid, &status, 0) >= 0) return status;
-        if (errno != EINTR) throw_errno("waitpid failed");
+        if (errno != EINTR) {
+            throw std::runtime_error(std::string("generate_distributed: waitpid "
+                                                 "failed: ") +
+                                     std::strerror(errno));
+        }
     }
 }
 
-/// Test/ops escape hatch: force the coordinator merge onto the userspace
-/// read/write fallback (pins byte-identity of both paths in CI).
-bool copy_file_range_disabled() {
-    const char* v = std::getenv("KAGEN_DISABLE_COPY_FILE_RANGE");
-    return v != nullptr && *v != '\0' && *v != '0';
-}
-
-/// Validates a rank file against the worker's report (header count and
-/// exact byte size) and appends its payload to `out_fd` at its current
-/// offset. Kernel-side zero-copy via fileio::copy_bytes (copy_file_range
-/// with an EINTR-safe read/write fallback); both paths verify the full
-/// payload length arrived, so a shrinking rank file still fails loudly.
-fileio::CopyStats append_rank_file(int out_fd, const std::string& rank_path,
-                                   u64 expected_edges) {
-    const int fd = ::open(rank_path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) throw_errno("cannot reopen rank file '" + rank_path + "'");
-    struct FdGuard {
-        int fd;
-        ~FdGuard() { fileio::close_or_warn(fd, "rank file"); }
-    } guard{fd};
-
-    u64 header = 0;
-    if (!read_exact(fd, &header, sizeof(header))) {
-        throw std::runtime_error("generate_distributed: rank file '" + rank_path +
-                                 "' has no header");
+/// The forked half of the socketpair transport: creates rank r's pair,
+/// forks, and runs the worker session in the child, which never returns —
+/// it leaves via _exit so it cannot run the coordinator's atexit handlers
+/// or flush inherited stdio buffers twice.
+net::RankLink fork_rank(const Config& cfg, const DistOptions& opt, u64 r,
+                        const std::string& rank_prefix,
+                        std::vector<net::RankLink>& earlier,
+                        std::vector<pid_t>& pids) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+        throw std::runtime_error("generate_distributed: socketpair failed for "
+                                 "rank " + std::to_string(r) + ": " +
+                                 std::strerror(errno));
     }
-    if (header != expected_edges) {
-        throw std::runtime_error(
-            "generate_distributed: rank file '" + rank_path + "' header claims " +
-            std::to_string(header) + " edges, worker reported " +
-            std::to_string(expected_edges));
+    net::RankLink link;
+    link.sock = net::Socket(fds[0]);
+    net::Socket child(fds[1]);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        // Drop every coordinator end this child inherited, its own
+        // included, so a coordinator that closes its end makes the child's
+        // sends fail with EPIPE instead of blocking forever.
+        for (net::RankLink& l : earlier) l.sock.close();
+        link.sock.close();
+        int code = 1;
+        try {
+            net::NetWorkerOptions wopt;
+            wopt.connect_timeout_ms = 0; // a dead local coordinator reads as EOF
+            wopt.rank_hook          = opt.rank_hook;
+            code = net::run_worker_session(child, wopt, rank_prefix, &cfg);
+        } catch (...) {
+            code = 1; // coordinator gone; nothing left to report to
+        }
+        ::_exit(code);
     }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) throw_errno("fstat '" + rank_path + "'");
-    const u64 expected_bytes = 8 + 16 * expected_edges;
-    if (static_cast<u64>(st.st_size) != expected_bytes) {
-        throw std::runtime_error(
-            "generate_distributed: rank file '" + rank_path + "' is " +
-            std::to_string(st.st_size) + " bytes, expected " +
-            std::to_string(expected_bytes));
+    if (pid < 0) {
+        throw std::runtime_error("generate_distributed: fork failed for rank " +
+                                 std::to_string(r) + ": " + std::strerror(errno));
     }
-
-    // read_exact advanced the offset past the header; the payload copy
-    // continues from there.
-    try {
-        return fileio::copy_bytes(fd, out_fd, expected_bytes - 8,
-                                  !copy_file_range_disabled());
-    } catch (const std::exception& e) {
-        throw std::runtime_error("generate_distributed: merging '" + rank_path +
-                                 "': " + e.what());
-    }
+    pids.push_back(pid);
+    link.peer = "pid " + std::to_string(pid);
+    return link; // `child` closes here: a dead rank reads as EOF
 }
 
 } // namespace
@@ -280,254 +189,83 @@ RankReport execute_rank_job(const Config& cfg, const RankJob& job) {
 }
 
 DistResult run_distributed(const Config& cfg, const DistOptions& opts) {
-    DistOptions opt = opts;
-    if (opt.num_ranks == 0) opt.num_ranks = 1;
-    if (opt.num_pes == 0) opt.num_pes = opt.num_ranks;
-    if (opt.threads_per_rank == 0) opt.threads_per_rank = 1;
-    if (cfg.chunks_per_pe == 0) {
-        throw std::invalid_argument(
-            "generate_distributed: chunks_per_pe must be >= 1");
-    }
-    if (!opt.dedup_path.empty() && opt.output_path.empty()) {
-        throw std::invalid_argument(
-            "generate_distributed: dedup_path requires output_path");
-    }
+    net::NetOptions plan;
+    plan.num_pes            = opts.num_pes;
+    plan.threads_per_worker = opts.threads_per_rank;
+    plan.output_path        = opts.output_path;
+    plan.degree_stats       = opts.degree_stats;
+    plan.dedup_path         = opts.dedup_path;
+    plan.sort_memory        = opts.sort_memory;
+    plan.connect_timeout_ms = 0; // local ranks: a dead one reads as EOF at once
+
+    const u64 ranks = opts.num_ranks != 0 ? opts.num_ranks : 1;
+    const std::string rank_prefix =
+        fileio::scratch_dir(opts.scratch_dir) + "/kagen_dist." +
+        std::to_string(::getpid()) + "." +
+        std::to_string(g_run_counter.fetch_add(1)) + ".rank";
+    std::vector<pid_t> pids;
+
+    net::Transport fork;
+    fork.num_ranks       = ranks;
+    fork.local_join      = true;
+    fork.keep_rank_files = opts.keep_rank_files;
+    fork.connect         = [&] {
+        // Flush stdio first: the children inherit the parent's FILE
+        // buffers, and although they always leave via _exit (which does not
+        // flush), any library printf inside a rank must not re-emit
+        // buffered coordinator output.
+        std::fflush(stdout);
+        std::fflush(stderr);
+        std::vector<net::RankLink> links;
+        for (u64 r = 0; r < ranks; ++r) {
+            links.push_back(fork_rank(cfg, opts, r, rank_prefix, links, pids));
+        }
+        return links;
+    };
+
+    // Reaps every child. After a failure every rank but `failed` is killed
+    // first (the failed rank is left to exit, so its wait status tells what
+    // happened) and the rank files the coordinator did not join are
+    // removed. Returns "rank r <wait status>" for the failed rank, or for
+    // the first rank that did not exit cleanly.
+    auto reap = [&](bool failure, u64 failed) {
+        for (u64 r = 0; r < pids.size(); ++r) {
+            if (failure && r != failed) ::kill(pids[r], SIGKILL);
+        }
+        std::string described;
+        for (u64 r = 0; r < pids.size(); ++r) {
+            const int status = wait_for(pids[r]);
+            const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+            if ((failure ? r == failed : !clean) && described.empty()) {
+                described = "rank " + std::to_string(r) + " " + describe_status(status);
+            }
+        }
+        if (failure && !opts.keep_rank_files) {
+            for (u64 r = 0; r < ranks; ++r) {
+                const std::string path = rank_prefix + std::to_string(r) + ".bin";
+                fileio::unlink_or_warn(path.c_str(), "rank file");
+            }
+        }
+        return described;
+    };
 
     DistResult result;
-    result.n = num_vertices(cfg); // validates the config before any fork
-    result.num_chunks =
-        cfg.total_chunks != 0 ? cfg.total_chunks : cfg.chunks_per_pe * opt.num_pes;
-    result.num_ranks = opt.num_ranks;
-
-    const bool want_file = !opt.output_path.empty();
-    const bool want_telemetry =
-        !cfg.trace_path.empty() || !cfg.metrics_path.empty();
-    const std::string scratch =
-        scratch_base(opt) + "/kagen_dist." + std::to_string(::getpid()) + "." +
-        std::to_string(g_run_counter.fetch_add(1)) + ".rank";
-
-    // Fork the fleet. Flush stdio first: the children inherit the parent's
-    // FILE buffers, and although they always leave via _exit (which does
-    // not flush), any library printf inside the worker must not re-emit
-    // buffered coordinator output.
-    std::fflush(stdout);
-    std::fflush(stderr);
-    std::vector<Worker> workers(opt.num_ranks);
-    auto cleanup_rank_files = [&] {
-        if (opt.keep_rank_files) return;
-        for (const auto& w : workers) remove_file(w.rank_path);
-    };
-    for (u64 r = 0; r < opt.num_ranks; ++r) {
-        Worker& w = workers[r];
-        if (want_file) w.rank_path = scratch + std::to_string(r) + ".bin";
-        w.pipe             = std::make_unique<StatsPipe>();
-        const u64 lo       = block_begin(result.num_chunks, opt.num_ranks, r);
-        const u64 hi       = block_begin(result.num_chunks, opt.num_ranks, r + 1);
-        const pid_t pid    = ::fork();
-        if (pid == 0) {
-            // Worker process. Only rank r's pipe write end matters; the
-            // read ends inherited from earlier ranks are harmless (the
-            // coordinator holds its own copies) and all fds are O_CLOEXEC.
-            w.pipe->close_read();
-            worker_main(cfg, opt, r, result.num_chunks, lo, hi, w.rank_path,
-                        w.pipe->write_fd()); // never returns
-        }
-        if (pid < 0) {
-            const int err = errno;
-            // Abort the ranks already running; their pipes break and they
-            // die on their own, but be prompt about it.
-            for (u64 k = 0; k < r; ++k) {
-                ::kill(workers[k].pid, SIGKILL);
-                wait_for(workers[k].pid);
-            }
-            cleanup_rank_files();
-            errno = err;
-            throw_errno("fork failed for rank " + std::to_string(r));
-        }
-        w.pid = pid;
-        w.pipe->close_write(); // worker death must read as EOF
+    try {
+        result = net::coordinate(cfg, plan, fork);
+    } catch (const net::RankFailure& f) {
+        throw std::runtime_error("generate_distributed: " + reap(true, f.rank) +
+                                 ": " + f.detail);
+    } catch (...) {
+        reap(true, ranks); // no rank to spare: kill them all
+        throw;
     }
-
-    // Arm the coordinator's own telemetry only now: events recorded before
-    // the fork loop would be duplicated into every child's inherited
-    // buffers, and the coordinator's interesting spans (merge, em_sort) all
-    // happen after this point anyway.
-    obs::Snapshot obs_base;
-    struct ObsGuard {
-        bool active = false;
-        ~ObsGuard() {
-            if (active) obs::TraceRecorder::global().enable(false);
-        }
-    } obs_guard;
-    if (want_telemetry) {
-        obs_base         = obs::begin_rank_telemetry();
-        obs_guard.active = true;
-    }
-
-    // Collect one report per rank (rank order; each worker blocks at most
-    // on its own frame write, so there is no circular wait), then reap.
-    std::vector<RankReport> reports(opt.num_ranks);
-    std::vector<obs::RankTelemetry> telemetry;
-    std::string failure;
-    for (u64 r = 0; r < opt.num_ranks; ++r) {
-        Worker& w = workers[r];
-        reports[r].rank = r;
-        try {
-            std::vector<u8> payload;
-            if (read_frame(w.pipe->read_fd(), payload)) {
-                reports[r] = deserialize_report(payload);
-                if (reports[r].rank != r) {
-                    reports[r].ok    = false;
-                    reports[r].error = "report carries wrong rank id " +
-                                       std::to_string(reports[r].rank);
-                    reports[r].rank = r;
-                }
-                if (want_telemetry) {
-                    // The optional second frame. A worker that died between
-                    // frames surfaces as a torn/absent frame; the run
-                    // continues (telemetry is best-effort), the wait status
-                    // below still attributes the death.
-                    std::vector<u8> tpayload;
-                    if (read_frame(w.pipe->read_fd(), tpayload)) {
-                        telemetry.push_back(obs::deserialize_telemetry(tpayload));
-                    }
-                }
-            } else {
-                reports[r].ok    = false;
-                reports[r].error = "died before reporting";
-            }
-        } catch (const std::exception& e) {
-            reports[r].ok    = false;
-            reports[r].error = e.what();
-        }
-        w.pipe->close_read();
-
-        const int status = wait_for(w.pid);
-        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        if ((!clean || !reports[r].ok) && failure.empty()) {
-            failure = "rank " + std::to_string(r) + " " + describe_status(status);
-            if (!reports[r].ok && !reports[r].error.empty()) {
-                failure += ": " + reports[r].error;
-            }
-        }
-    }
+    const std::string failure = reap(false, 0);
     if (!failure.empty()) {
-        cleanup_rank_files();
+        // A rank whose report and file arrived intact but which then died
+        // still fails the run: its exit status is part of the contract.
+        fileio::unlink_or_warn(opts.output_path.c_str(), "merged output");
+        fileio::unlink_or_warn(opts.dedup_path.c_str(), "dedup output");
         throw std::runtime_error("generate_distributed: " + failure);
-    }
-
-    // Merge: summaries first (pure arithmetic), then the rank files in
-    // canonical rank order. Rank 0's summaries seed the merge (they carry
-    // the semantics/n tags the checks compare against); the scalar fields
-    // fold from their zero-initialized defaults. Per-rank degree vectors
-    // are released as they are merged — keeping them would make the result
-    // O(n·ranks) where only the merged O(n) vector is wanted.
-    result.count       = reports[0].count;
-    result.has_degrees = opt.degree_stats;
-    if (opt.degree_stats) result.degrees = std::move(reports[0].degrees);
-    u64 total_edges = 0;
-    for (u64 r = 0; r < opt.num_ranks; ++r) {
-        RankReport& rep = reports[r];
-        if (r > 0) {
-            result.count.merge(rep.count);
-            if (opt.degree_stats) result.degrees.merge(rep.degrees);
-        }
-        std::vector<u64>().swap(rep.degrees.degrees);
-        total_edges += rep.file_edges;
-        result.seconds = std::max(result.seconds, rep.stats.seconds);
-        result.peak_buffered_bytes =
-            std::max(result.peak_buffered_bytes, rep.stats.peak_buffered_bytes);
-        result.spilled_chunks += rep.stats.spilled_chunks;
-        result.spilled_bytes += rep.stats.spilled_bytes;
-        result.buffers_recycled += rep.stats.buffers_recycled;
-    }
-    result.ranks = std::move(reports);
-
-    if (want_file) {
-        try {
-            // Raw descriptor end to end: the header is one checked
-            // write_all and the payload concatenation is kernel-side
-            // (fileio::copy_bytes), so there is no stdio buffer whose error
-            // state could swallow a failed write — every byte is either
-            // acknowledged by the kernel or throws here.
-            const int out_fd = ::open(opt.output_path.c_str(),
-                                      O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-            if (out_fd < 0) {
-                throw_errno("cannot open output '" + opt.output_path + "'");
-            }
-            try {
-                fileio::write_all(out_fd, &total_edges, sizeof(total_edges));
-                for (u64 r = 0; r < opt.num_ranks; ++r) {
-                    const obs::Span span(obs::Phase::merge, r);
-                    const fileio::CopyStats copied = append_rank_file(
-                        out_fd, workers[r].rank_path, result.ranks[r].file_edges);
-                    result.merged_bytes += copied.bytes_copied;
-                    result.copy_file_range_bytes += copied.cfr_bytes;
-                }
-                obs::Registry& reg = obs::Registry::global();
-                reg.counter("dist.merged_bytes").add(result.merged_bytes);
-                reg.counter("dist.copy_file_range_bytes")
-                    .add(result.copy_file_range_bytes);
-            } catch (...) {
-                fileio::close_or_warn(out_fd, "merged output (error unwind)");
-                throw;
-            }
-            // Close outside the try: close(2) releases the descriptor even
-            // when it reports an error, so the catch block above must never
-            // see an already-released (possibly recycled) fd.
-            if (::close(out_fd) != 0) {
-                throw_errno("cannot close output '" + opt.output_path + "'");
-            }
-            result.edges_written = total_edges;
-        } catch (...) {
-            remove_file(opt.output_path);
-            cleanup_rank_files();
-            throw;
-        }
-        cleanup_rank_files();
-
-        if (!opt.dedup_path.empty()) {
-            try {
-                const em::SortStats sorted = em::sort_dedup_file(
-                    opt.output_path, opt.dedup_path, opt.sort_memory);
-                result.dedup_edges = sorted.output_edges;
-            } catch (...) {
-                remove_file(opt.dedup_path);
-                throw;
-            }
-        }
-    }
-
-    if (want_telemetry) {
-        // The coordinator is one more timeline: pid num_ranks, holding the
-        // merge/em_sort spans. Fork workers share CLOCK_MONOTONIC with it,
-        // so every offset is 0 — the merged trace is already aligned.
-        obs::RankTelemetry own = obs::end_rank_telemetry(opt.num_ranks, obs_base);
-        obs_guard.active       = false;
-        if (!cfg.trace_path.empty()) {
-            std::vector<obs::RankTimeline> timelines;
-            timelines.reserve(telemetry.size() + 1);
-            for (obs::RankTelemetry& t : telemetry) {
-                obs::RankTimeline tl;
-                tl.rank   = t.rank;
-                tl.label  = "rank " + std::to_string(t.rank);
-                tl.events = std::move(t.events);
-                timelines.push_back(std::move(tl));
-            }
-            obs::RankTimeline coord;
-            coord.rank   = opt.num_ranks;
-            coord.label  = "coordinator";
-            coord.events = std::move(own.events);
-            timelines.push_back(std::move(coord));
-            obs::write_chrome_trace(cfg.trace_path, timelines);
-        }
-        if (!cfg.metrics_path.empty()) {
-            obs::Snapshot merged = own.metrics;
-            for (const obs::RankTelemetry& t : telemetry) {
-                merged.merge(t.metrics);
-            }
-            obs::write_metrics_file(cfg.metrics_path, merged);
-        }
     }
     return result;
 }

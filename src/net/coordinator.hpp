@@ -1,39 +1,47 @@
 /// \file coordinator.hpp
-/// \brief TCP coordinator of the multi-node backend: same decomposition,
-///        same merge, sockets instead of pipes.
+/// \brief The one coordinator of a distributed run, for forked and TCP
+///        ranks alike.
 ///
-/// `run_net_coordinator` is the socket twin of `dist::run_distributed`
-/// (dist/runner.hpp): it assigns each of W workers the contiguous
-/// `block_begin` slice of the canonical C-chunk decomposition, lets every
-/// worker generate its share with zero worker↔worker communication, merges
-/// the per-rank summaries with exactly the arithmetic the fork coordinator
-/// uses, and assembles the output file in canonical rank order — so the
-/// merged file is byte-identical to the forked backend and to a
-/// single-process `generate_chunked` run for every (workers, P, K) ×
-/// semantics combination. The differences are all about distrust of the
-/// transport:
+/// `coordinate` is everything a coordinator does once it can reach its
+/// ranks: it assigns each of R ranks the contiguous `block_begin` slice of
+/// the canonical C-chunk decomposition, lets every rank generate its share
+/// with zero rank↔rank communication (the rank side is
+/// `net::run_worker_session`, net/worker.hpp), validates and merges the
+/// per-rank reports, and assembles the output in canonical rank order — so
+/// the result is byte-identical to a single-process `generate_chunked` run
+/// for every (ranks, P, K) × semantics combination, whichever transport
+/// carried it. Two transports feed it:
 ///
-///  * workers are reached over TCP (accept W dial-ins, or dial W listening
-///    workers) with connect/accept timeouts and a two-way hello;
-///  * every report is validated: rank id, chunk-range echo against the
-///    assignment, semantics/n of the summaries, file edge counts;
-///  * per-worker deadlines bound every receive; dead sockets and torn
-///    frames surface as errors naming the rank — no hangs, and a failed run
-///    leaves no partial output file behind;
-///  * output is either *gathered* (rank files streamed back and
-///    concatenated, the pipe backend's shape) or left *partitioned*: each
-///    worker keeps its node-local rank file and the coordinator writes a
-///    manifest naming every piece — the small-cluster deployment shape of
-///    Gupta's external-memory distributed generation (PAPERS.md).
+///  * **socketpair** — `dist::run_distributed` (dist/runner.hpp) forks one
+///    child per rank and hands the core its ends of AF_UNIX socketpairs;
+///  * **TCP** — `run_net_coordinator` below accepts W dial-ins or dials W
+///    listening workers, with connect/accept timeouts.
 ///
-/// See DESIGN.md §11 for the wire format and failure semantics.
+/// Three output shapes: a *local join* (forked ranks keep their rank files
+/// on this host; the core concatenates them with copy_file_range), a
+/// *streamed gather* (TCP workers stream their rank files back), and a
+/// *manifest* (TCP workers keep their node-local rank files and the
+/// coordinator writes a text manifest naming every piece — the
+/// small-cluster deployment shape of Gupta's external-memory distributed
+/// generation, PAPERS.md). The transport picks the join; `output_path` vs
+/// `manifest_path` picks gather vs manifest.
+///
+/// One failure contract: every report is validated (rank id, chunk-range
+/// echo against the assignment, semantics, degree size, file edge counts),
+/// TCP receives carry deadlines (a dead forked rank reads as EOF at once),
+/// and the first failure throws a
+/// `RankFailure` naming the rank — no hang, and a failed run leaves no
+/// partial output file behind. See DESIGN.md §8 for the wire format and
+/// failure semantics.
 #pragma once
 
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
-#include "dist/ipc.hpp"
+#include "dist/runner.hpp"
 #include "net/socket.hpp"
 
 namespace kagen {
@@ -81,49 +89,55 @@ struct NetOptions {
     Listener* listener = nullptr;
 };
 
-/// One rank file of a partitioned (manifest-mode) run.
-struct NetManifestEntry {
-    u64 rank = 0;
-    std::string peer; ///< worker address as seen by the coordinator
-    std::string path; ///< rank-file path on the worker's machine
-    u64 chunk_begin = 0;
-    u64 chunk_end   = 0;
-    u64 edges       = 0;
-    u64 bytes       = 0; ///< on-disk size (8-byte header + 16 per edge)
+/// One rank's connection to the coordinator.
+struct RankLink {
+    Socket sock;
+    std::string peer; ///< how errors and the manifest name the rank:
+                      ///< "ip:port" over TCP, "pid N" for a forked rank
 };
 
-/// Coordinator-side view of a finished multi-node run.
-struct NetResult {
-    u64 n           = 0; ///< global vertex count
-    u64 num_chunks  = 0; ///< canonical chunks C of the decomposition
-    u64 num_workers = 0;
-
-    double seconds = 0.0; ///< slowest rank's makespan (critical path)
-
-    u64 edges_written = 0; ///< edges in the gathered output file (0 = none)
-    u64 merged_bytes  = 0; ///< rank-file payload bytes received and written
-    u64 dedup_edges   = 0; ///< unique edges after the optional dedup pass
-
-    // Fleet-wide engine stats folded from the per-rank reports — the same
-    // fields dist::DistResult carries, so both backends print one summary.
-    u64 peak_buffered_bytes = 0; ///< max over ranks
-    u64 spilled_chunks      = 0; ///< summed over ranks
-    u64 spilled_bytes       = 0;
-    u64 buffers_recycled    = 0;
-
-    CountingSummary count;    ///< merged counting summary (all ranks)
-    bool has_degrees = false; ///< degree summary collected and merged
-    DegreeStatsSummary degrees;
-
-    std::vector<dist::RankReport> ranks;     ///< per-rank reports, rank order
-    std::vector<NetManifestEntry> manifest;  ///< partitioned mode only
+/// What a transport hands the coordinator core.
+struct Transport {
+    u64 num_ranks = 0;
+    /// Reaches every rank, in rank order. Runs after the core has checked
+    /// the options and the config, so an invalid run never forks or binds.
+    std::function<std::vector<RankLink>()> connect;
+    /// The rank files live on this host (forked ranks): a gathered output
+    /// joins them with fileio::copy_bytes instead of having them streamed.
+    bool local_join = false;
+    bool keep_rank_files = false; ///< local join: keep the joined rank files
 };
 
-/// Runs `cfg`'s graph across the workers `opts` describes and merges their
-/// outputs; see the file comment. Throws std::invalid_argument on option
-/// conflicts and std::runtime_error naming the rank on any worker or
-/// transport failure (no hang, no partial output files left behind).
-NetResult run_net_coordinator(const Config& cfg, const NetOptions& opts);
+/// A failure the coordinator pins on one rank. `what()` reads
+/// "coordinator: rank 2 (10.0.0.7:41210): <detail>"; `rank` and `detail`
+/// let a transport say what else it knows about that rank (the fork
+/// backend adds the child's wait status).
+class RankFailure : public std::runtime_error {
+public:
+    RankFailure(u64 rank, const std::string& peer, const std::string& detail)
+        : std::runtime_error("coordinator: rank " + std::to_string(rank) + " (" +
+                             peer + "): " + detail),
+          rank(rank), detail(detail) {}
+
+    u64 rank;
+    std::string detail;
+};
+
+/// Runs `cfg`'s graph on the ranks `transport` reaches and merges their
+/// outputs; see the file comment. Of `opts` it reads the run shape
+/// (num_pes, threads_per_worker, output_path / manifest_path, degree_stats,
+/// dedup_path, sort_memory) and the deadlines. Throws
+/// std::invalid_argument on option conflicts before `transport.connect`
+/// runs, and RankFailure (or std::runtime_error for coordinator-side I/O)
+/// on any failure.
+dist::DistResult coordinate(const Config& cfg, const NetOptions& opts,
+                            const Transport& transport);
+
+/// The TCP transport: reaches the workers `opts` describes (listen or
+/// connect) and runs `coordinate` on them. Throws std::invalid_argument on
+/// option conflicts and std::runtime_error naming the rank on any worker or
+/// transport failure.
+dist::DistResult run_net_coordinator(const Config& cfg, const NetOptions& opts);
 
 } // namespace net
 } // namespace kagen

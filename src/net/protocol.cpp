@@ -110,8 +110,8 @@ JobSpec decode_job(const std::vector<u8>& payload) {
 }
 
 std::vector<u8> encode_report(const dist::RankReport& report) {
-    // The report payload is the pipe transport's serialize_report bytes,
-    // prefixed with the type tag — one serializer, two transports.
+    // The report payload is dist::serialize_report's bytes behind the type
+    // tag.
     std::vector<u8> out;
     bytes::put_u64(out, static_cast<u64>(Msg::report));
     const std::vector<u8> body = dist::serialize_report(report);

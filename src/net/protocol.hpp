@@ -1,5 +1,6 @@
 /// \file protocol.hpp
-/// \brief Wire messages of the multi-node TCP backend.
+/// \brief Wire messages between the coordinator and its ranks, over TCP or
+///        a forked rank's socketpair.
 ///
 /// Every message is one frame (dist/ipc layout over net/socket.hpp) whose
 /// payload starts with a u64 message type. The conversation per worker is:
@@ -8,9 +9,8 @@
 ///   coordinator → worker        hello        {protocol version}
 ///   coordinator → worker        job          {JobSpec: canonical Config
 ///                                             encode + rank/chunk range}
-///   worker      → coordinator   report       {dist::RankReport — the same
-///                                             serialize_report bytes the
-///                                             pipe transport ships}
+///   worker      → coordinator   report       {dist::RankReport —
+///                                             dist::serialize_report bytes}
 ///   worker      → coordinator   telemetry    {obs::RankTelemetry}
 ///                                            (only if the job set want_trace)
 ///   worker      → coordinator   file header  {edges, payload bytes}   (gather)

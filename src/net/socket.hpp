@@ -1,23 +1,22 @@
 /// \file socket.hpp
-/// \brief TCP plumbing of the multi-node backend: endpoints, a deadline-
-///        aware framed socket, a listener with accept timeouts, and a
-///        connector with retry-until-deadline.
+/// \brief Socket plumbing of the distributed backend: endpoints, a
+///        deadline-aware framed socket, a listener with accept timeouts,
+///        and a connector with retry-until-deadline.
 ///
-/// The net transport extends the distributed backend's framed stats
-/// protocol (dist/ipc.hpp) from anonymous pipes to sockets: frames keep the
-/// exact `[magic u64][payload bytes u64][payload]` layout and the
-/// little-endian field encoding of common/bytes.hpp, so a report frame is
-/// byte-identical whichever transport carries it. What sockets add over
-/// pipes is *distrust*: the peer may be on another machine, may never show
-/// up, may die mid-frame, or may not be a kagen process at all. Hence
-/// everything here is deadline-aware (poll(2) before every read; connect
-/// and accept take explicit timeouts) and every failure is a descriptive
-/// std::runtime_error — never a hang, never garbage decoded as a frame.
+/// Every coordinator ↔ rank byte travels as a frame over a `Socket`: a TCP
+/// connection to a worker on another machine, or one end of the
+/// socketpair(2) a forked rank shares with its coordinator. Frames are
+/// `[magic u64][payload bytes u64][payload]` in the little-endian field
+/// encoding of common/bytes.hpp. The peer may be on another machine, may
+/// never show up, may die mid-frame, or may not be a kagen process at all.
+/// Hence everything here is deadline-aware (poll(2) before every read;
+/// connect and accept take explicit timeouts) and every failure is a
+/// descriptive std::runtime_error — never a hang, never garbage decoded as
+/// a frame.
 ///
 /// Blocking discipline: sends are allowed to block indefinitely (the
 /// receiver drains in rank order, so a blocked send just means "not my turn
-/// yet" — the same back-pressure argument as the pipe protocol's); receives
-/// carry the caller's deadline. Bulk payload transfer (rank files) goes
+/// yet"); receives carry the caller's deadline. Bulk payload transfer (rank files) goes
 /// through fileio::copy_bytes with SO_RCVTIMEO as the per-read inactivity
 /// bound, so a stalled peer surfaces as an error there too.
 #pragma once

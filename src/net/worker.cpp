@@ -1,76 +1,25 @@
 #include "net/worker.hpp"
 
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
-#include <fcntl.h>
 #include <limits.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/fileio.hpp"
 #include "dist/ipc.hpp"
 #include "kagen.hpp"
 #include "net/protocol.hpp"
-#include "net/socket.hpp"
 #include "obs/trace.hpp"
 
 namespace kagen::net {
 namespace {
 
-[[noreturn]] void throw_errno(const std::string& what) {
-    throw std::runtime_error("net worker: " + what + ": " +
-                             std::strerror(errno));
-}
-
 /// Distinguishes concurrent workers inside one process (tests run several
 /// worker threads); the pid alone covers concurrent processes.
 std::atomic<u64> g_job_counter{0};
-
-std::string scratch_base(const NetWorkerOptions& opt) {
-    if (!opt.scratch_dir.empty()) return opt.scratch_dir;
-    const char* tmpdir = std::getenv("TMPDIR");
-    return tmpdir && *tmpdir ? tmpdir : "/tmp";
-}
-
-/// Opens the rank file, validates its header and size against the report
-/// (the same checks the fork coordinator's append_rank_file runs — here
-/// they run worker-side, before any byte crosses the wire), and leaves the
-/// offset past the 8-byte header. Returns the fd.
-int open_validated_rank_file(const std::string& path, u64 expected_edges) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) throw_errno("cannot reopen rank file '" + path + "'");
-    try {
-        u64 header = 0;
-        if (!dist::read_exact(fd, &header, sizeof(header))) {
-            throw std::runtime_error("net worker: rank file '" + path +
-                                     "' has no header");
-        }
-        if (header != expected_edges) {
-            throw std::runtime_error(
-                "net worker: rank file '" + path + "' header claims " +
-                std::to_string(header) + " edges, the run produced " +
-                std::to_string(expected_edges));
-        }
-        struct stat st{};
-        if (::fstat(fd, &st) != 0) throw_errno("fstat '" + path + "'");
-        const u64 expected_bytes = 8 + 16 * expected_edges;
-        if (static_cast<u64>(st.st_size) != expected_bytes) {
-            throw std::runtime_error(
-                "net worker: rank file '" + path + "' is " +
-                std::to_string(st.st_size) + " bytes, expected " +
-                std::to_string(expected_bytes));
-        }
-    } catch (...) {
-        fileio::close_or_warn(fd, "rank file (validation failed)");
-        throw;
-    }
-    return fd;
-}
 
 std::string absolute_path(const std::string& path) {
     char buf[PATH_MAX];
@@ -82,12 +31,6 @@ std::string absolute_path(const std::string& path) {
 
 int run_net_worker(const std::string& endpoint_spec,
                    const NetWorkerOptions& opt) {
-    // A coordinator that died mid-conversation must surface as an EPIPE
-    // error from send, not kill the worker with SIGPIPE (same policy as the
-    // forked workers'). MSG_NOSIGNAL covers frame sends; the rank-file
-    // stream goes through plain write(2) in fileio::copy_bytes.
-    ::signal(SIGPIPE, SIG_IGN);
-
     const Endpoint ep = parse_endpoint(endpoint_spec);
     Socket sock;
     if (ep.host.empty()) {
@@ -96,6 +39,21 @@ int run_net_worker(const std::string& endpoint_spec,
     } else {
         sock = connect_to(ep, opt.connect_timeout_ms);
     }
+    return run_worker_session(sock, opt,
+                              fileio::scratch_dir(opt.scratch_dir) + "/kagen_net." +
+                                  std::to_string(::getpid()) + "." +
+                                  std::to_string(g_job_counter.fetch_add(1)) +
+                                  ".rank");
+}
+
+int run_worker_session(Socket& sock, const NetWorkerOptions& opt,
+                       const std::string& rank_file_prefix,
+                       const Config* inherited) {
+    // A coordinator that died mid-conversation must surface as an EPIPE
+    // error, not kill the worker with SIGPIPE. MSG_NOSIGNAL covers frame
+    // sends; the rank-file stream goes through plain write(2) in
+    // fileio::copy_bytes.
+    ::signal(SIGPIPE, SIG_IGN);
 
     // Two-way hello before any state exists on either side.
     sock.send_frame(encode_hello());
@@ -122,10 +80,7 @@ int run_net_worker(const std::string& endpoint_spec,
 
     std::string rank_path;
     if (job.want_file) {
-        rank_path = scratch_base(opt) + "/kagen_net." +
-                    std::to_string(::getpid()) + "." +
-                    std::to_string(g_job_counter.fetch_add(1)) + ".rank" +
-                    std::to_string(job.rank) + ".bin";
+        rank_path = rank_file_prefix + std::to_string(job.rank) + ".bin";
     }
 
     dist::RankReport report;
@@ -142,7 +97,8 @@ int run_net_worker(const std::string& endpoint_spec,
         rj.threads      = job.threads;
         rj.degree_stats = job.degree_stats;
         rj.rank_path    = rank_path;
-        report          = dist::execute_rank_job(job.cfg, rj);
+        report = dist::execute_rank_job(inherited != nullptr ? *inherited : job.cfg,
+                                        rj);
     } catch (const std::exception& e) {
         report.ok    = false;
         report.error = e.what();
@@ -168,36 +124,39 @@ int run_net_worker(const std::string& endpoint_spec,
     // aligned with what the coordinator was told to expect.
     if (job.want_trace) sock.send_frame(encode_telemetry(telemetry));
     if (!report.ok) return 1;
+    if (!job.want_file) return 0;
 
-    if (job.want_file && job.send_file) {
-        // Gather mode: validate, announce, stream the payload (header
-        // stripped — the coordinator writes one global header), discard.
-        const int fd = open_validated_rank_file(rank_path, report.file_edges);
-        try {
-            FileHeader header;
-            header.edges         = report.file_edges;
-            header.payload_bytes = 16 * report.file_edges;
-            sock.send_frame(encode_file_header(header));
-            sock.send_payload_from(fd, header.payload_bytes);
-        } catch (...) {
-            fileio::close_or_warn(fd, "rank file (stream failed)");
-            fileio::unlink_or_warn(rank_path.c_str(), "rank file");
-            throw;
-        }
-        // Read-only fd over already-durable data: close cannot fail in a
-        // way that matters; the unlink reclaims the gathered temp file.
-        fileio::close_or_warn(fd, "rank file");
-        fileio::unlink_or_warn(rank_path.c_str(), "rank file");
-    } else if (job.want_file) {
-        // Manifest mode: keep the rank file node-local, report where it is.
-        const int fd = open_validated_rank_file(rank_path, report.file_edges);
+    // Validate the rank file against the report before any byte of it is
+    // announced: a file that disagrees with its own count fails here,
+    // naming the file, instead of at the coordinator.
+    const int fd = fileio::open_rank_file(rank_path, report.file_edges);
+    if (!job.send_file) {
+        // Manifest shape: keep the rank file, report where it is.
         fileio::close_or_warn(fd, "rank file"); // open only for the validation
         FileInfo info;
         info.path  = absolute_path(rank_path);
         info.edges = report.file_edges;
         info.bytes = 8 + 16 * report.file_edges;
         sock.send_frame(encode_file_info(info));
+        return 0;
     }
+    // Gather: announce, stream the payload (header stripped — the
+    // coordinator writes one global header), discard.
+    try {
+        FileHeader header;
+        header.edges         = report.file_edges;
+        header.payload_bytes = 16 * report.file_edges;
+        sock.send_frame(encode_file_header(header));
+        sock.send_payload_from(fd, header.payload_bytes);
+    } catch (...) {
+        fileio::close_or_warn(fd, "rank file (stream failed)");
+        fileio::unlink_or_warn(rank_path.c_str(), "rank file");
+        throw;
+    }
+    // Read-only fd over already-durable data: close cannot fail in a way
+    // that matters; the unlink reclaims the gathered temp file.
+    fileio::close_or_warn(fd, "rank file");
+    fileio::unlink_or_warn(rank_path.c_str(), "rank file");
     return 0;
 }
 

@@ -1,26 +1,36 @@
 /// \file worker.hpp
-/// \brief TCP worker of the multi-node backend: one connection, one job,
+/// \brief The worker side of a distributed run: one connection, one job,
 ///        one report — then exit.
 ///
-/// `run_net_worker` is everything behind `kagen_tool -worker host:port`: it
-/// reaches the coordinator (dialing "host:port", or — with an empty host,
+/// `run_worker_session` is the whole conversation a rank has with the
+/// coordinator (net/coordinator.hpp), on a socket that is already
+/// connected: it handshakes, receives one serialized job, runs
+/// `dist::execute_rank_job`, and sends back the framed RankReport, the
+/// optional telemetry, and then the rank file — streamed (gather) or kept
+/// and named by a file-info message (manifest, and the forked backend,
+/// whose coordinator joins the files itself). Forked ranks
+/// (dist/runner.hpp) run it on their end of a socketpair; `run_net_worker`,
+/// everything behind `kagen_tool -worker host:port`, runs it after reaching
+/// the coordinator over TCP (dialing "host:port", or — with an empty host,
 /// ":port" — listening for the coordinator to dial in, the `-connect`
-/// counterpart), handshakes, receives one serialized job, runs exactly the
-/// rank-execution core the forked backend runs (`dist::execute_rank_job`,
-/// which is why the two backends are byte-identical), and streams back the
-/// framed RankReport plus — in gather mode — the rank file. A job that
-/// throws is reported as a failure frame (ok == false with the message), so
-/// the coordinator can name the rank; only then does the worker exit
-/// nonzero. Transport failures (coordinator gone, torn frame, deadline)
-/// throw out of `run_net_worker` for the caller to print.
+/// counterpart). One session for both transports is why their outputs are
+/// byte-identical. A job that throws is reported as a failure frame
+/// (ok == false with the message), so the coordinator can name the rank;
+/// only then does the worker exit nonzero. Transport failures (coordinator
+/// gone, torn frame, deadline) throw for the caller to print.
 #pragma once
 
 #include <functional>
 #include <string>
 
 #include "common/types.hpp"
+#include "net/socket.hpp"
 
-namespace kagen::net {
+namespace kagen {
+
+struct Config; // kagen.hpp
+
+namespace net {
 
 struct NetWorkerOptions {
     std::string scratch_dir;       ///< rank-file location; empty = $TMPDIR
@@ -30,8 +40,9 @@ struct NetWorkerOptions {
                                     ///< after every worker connected, so
                                     ///< this waits on the slowest peer)
 
-    /// Test instrumentation, mirror of DistOptions::rank_hook: invoked with
-    /// the assigned rank after the job decodes, before any generation.
+    /// Test instrumentation: invoked with the assigned rank after the job
+    /// decodes, before any generation (a forked rank runs
+    /// DistOptions::rank_hook here).
     std::function<void(u64 rank)> rank_hook;
 };
 
@@ -42,4 +53,17 @@ struct NetWorkerOptions {
 int run_net_worker(const std::string& endpoint_spec,
                    const NetWorkerOptions& opts = {});
 
-} // namespace kagen::net
+/// Runs one worker session on the connected `sock` (see the file comment).
+/// The rank file, if the job asks for one, is `rank_file_prefix + <rank> +
+/// ".bin"`. `inherited` is set by a forked rank: the Config it shares with
+/// its coordinator by memory image, which then runs the job instead of the
+/// decoded one — equal on every encoded field, and it also carries the
+/// fields `encode_config` leaves out (arena slab size, trace and metrics
+/// paths); a TCP worker uses its local defaults for those. Same return and
+/// throw contract as `run_net_worker`.
+int run_worker_session(Socket& sock, const NetWorkerOptions& opts,
+                       const std::string& rank_file_prefix,
+                       const Config* inherited = nullptr);
+
+} // namespace net
+} // namespace kagen

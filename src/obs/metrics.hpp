@@ -3,8 +3,8 @@
 ///        log-bucketed histograms with mergeable, serializable snapshots.
 ///
 /// The engine's runtime accounting used to be hand-threaded structs
-/// (`pe::ChunkRunStats`, ad-hoc fields on `DistResult`/`NetResult`) — every
-/// new counter meant touching the struct, the pipe codec, and every
+/// (`pe::ChunkRunStats`, ad-hoc fields on the distributed results) — every
+/// new counter meant touching the struct, the wire codec, and every
 /// printer. The registry replaces that plumbing with named instruments:
 /// hot paths `add()` to a cached `Counter&` (one relaxed atomic RMW), and
 /// orchestration code takes a `Snapshot` — a deterministic, sorted

@@ -15,9 +15,8 @@
 /// `obs::monotonic_now()` — CLOCK_MONOTONIC, never wall clock — so
 /// `tools/lint_determinism.py` can enforce "no time-dependent generation"
 /// with exactly one allowlisted implementation site (trace.cpp). Traces
-/// from remote ranks are aligned by offsetting their timeline with the
-/// coordinator's send-time handshake (DESIGN.md §13); fork workers share
-/// the machine clock and need offset 0.
+/// from every rank, forked or remote, are aligned by offsetting their
+/// timeline with the coordinator's send-time handshake (DESIGN.md §13).
 ///
 /// Compile-out: building with -DKAGEN_OBS_OFF=1 turns Span/instant() into
 /// empty inlines (no flag load, no code); `monotonic_now()` always works —
@@ -166,7 +165,7 @@ inline void instant(Phase phase, u64 arg = 0) {
 /// events, its metrics delta, and `clock_base_ns` — the rank's
 /// monotonic_now() at job receipt, which the coordinator pairs with its
 /// own send timestamp to place the rank's timeline on the coordinator
-/// clock (offset = t_sent − clock_base_ns; 0 for same-machine forks).
+/// clock (offset = t_sent − clock_base_ns).
 struct RankTelemetry {
     u64 rank          = 0;
     u64 clock_base_ns = 0;
@@ -180,8 +179,8 @@ struct RankTelemetry {
 Snapshot begin_rank_telemetry();
 
 /// Disarms the recorder and packages everything recorded since `base` was
-/// taken. The caller stamps `clock_base_ns` (0 = same machine as the
-/// merger).
+/// taken. A rank's caller stamps `clock_base_ns`; the coordinator's own
+/// timeline keeps 0.
 RankTelemetry end_rank_telemetry(u64 rank, const Snapshot& base);
 
 std::vector<u8> serialize_telemetry(const RankTelemetry& t);

@@ -18,7 +18,6 @@
 
 #include "obs/trace.hpp"
 #include "pe/arena.hpp"
-#include "pe/chunk_pool.hpp"
 #include "sink/spill.hpp"
 
 namespace kagen::pe {
@@ -379,9 +378,9 @@ class OrderedDelivery {
 public:
     OrderedDelivery(u64 num_chunks, u64 chunk_base, u64 max_buffered_bytes,
                     const std::string& spill_path, EdgeSink& sink,
-                    ChunkBufferPool& pool)
+                    SlabArena& arena)
         : slots_(num_chunks), chunk_base_(chunk_base),
-          budget_(max_buffered_bytes), pool_(pool), sink_(sink) {
+          budget_(max_buffered_bytes), arena_(arena), sink_(sink) {
         // The spill file is only ever touched in bounded mode; create it
         // eagerly so producers never race on lazy construction.
         if (budget_ != 0) {
@@ -390,7 +389,7 @@ public:
     }
 
     ~OrderedDelivery() {
-        if (scratch_ != nullptr) pool_.arena().release(scratch_);
+        if (scratch_ != nullptr) arena_.release(scratch_);
     }
 
     /// Called by the producing worker when chunk `chunk` has finished
@@ -539,7 +538,7 @@ private:
                     // Replay through a held scratch slab: the replay path
                     // allocates nothing, and the bounded-memory footprint
                     // stays budget + one chunk + one slab.
-                    if (scratch_ == nullptr) scratch_ = pool_.arena().acquire();
+                    if (scratch_ == nullptr) scratch_ = arena_.acquire();
                     parked->replay(sink_, scratch_->edges(), scratch_->capacity);
                 }
                 ++cur;
@@ -578,7 +577,7 @@ private:
     std::atomic<u64> spilled_chunks_{0};
     std::atomic<u64> spilled_bytes_{0};
     std::unique_ptr<spill::SpillFile> spill_;
-    ChunkBufferPool& pool_;
+    SlabArena& arena_;
     EdgeSink& sink_;
     Slab* scratch_ = nullptr; ///< drainer-owned spill-replay scratch slab
 };
@@ -662,21 +661,20 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         // `max_buffered_bytes` ahead of the cursor park on disk, so peak
         // memory is budget + one chunk instead of O(completion skew).
         // Recycling stays on in bounded mode too: released slabs decommit
-        // their payload pages (chunk_pool.hpp), so retained capacity is no
+        // their payload pages (arena.hpp), so retained capacity is no
         // longer invisible resident memory and the strict bound survives.
-        ChunkBufferPool local_buffers(opt.arena_slab_bytes, /*populate=*/false,
-                                      /*decommit=*/opt.max_buffered_bytes != 0);
-        ChunkBufferPool& buffers =
-            opt.arena != nullptr ? *opt.arena : local_buffers;
+        SlabArena local_arena(opt.arena_slab_bytes, /*populate=*/false,
+                              /*decommit_on_release=*/opt.max_buffered_bytes != 0);
+        SlabArena& arena = opt.arena != nullptr ? *opt.arena : local_arena;
         // Stats are deltas: an external arena (ChunkOptions::arena) carries
         // warm slabs and counters across runs.
-        const u64 base_recycled  = buffers.buffers_recycled();
-        const u64 base_allocated = buffers.buffers_allocated();
-        const u64 base_chains    = buffers.arena().chains();
+        const u64 base_hits     = arena.freelist_hits();
+        const u64 base_reserved = arena.slabs_reserved();
+        const u64 base_chains   = arena.chains();
         OrderedDelivery delivery(span, begin, opt.max_buffered_bytes,
-                                 opt.spill_path, sink, buffers);
+                                 opt.spill_path, sink, arena);
         pool.parallel_for(span, workers, [&](u64 task) {
-            ChunkBuffer buf = buffers.acquire();
+            ChunkBuffer buf(&arena); // the first slab binds on first write
             {
                 ArenaSink local(buf);
                 obs::Span gen(obs::Phase::generate, begin + task);
@@ -690,10 +688,10 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         stats.peak_buffered_bytes = delivery.peak_buffered_bytes();
         stats.spilled_chunks      = delivery.spilled_chunks();
         stats.spilled_bytes       = delivery.spilled_bytes();
-        stats.buffers_recycled    = buffers.buffers_recycled() - base_recycled;
-        stats.buffers_allocated   = buffers.buffers_allocated() - base_allocated;
-        stats.arena_chains        = buffers.arena().chains() - base_chains;
-        stats.arena_slab_bytes    = buffers.arena().slab_bytes();
+        stats.buffers_recycled    = arena.freelist_hits() - base_hits;
+        stats.buffers_allocated   = arena.slabs_reserved() - base_reserved;
+        stats.arena_chains        = arena.chains() - base_chains;
+        stats.arena_slab_bytes    = arena.slab_bytes();
     }
     stats.seconds = static_cast<double>(obs::monotonic_now() - start) * 1e-9;
 
@@ -704,8 +702,6 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
     reg.counter("pe.chunks").add(span);
     reg.counter("pe.spilled_chunks").add(stats.spilled_chunks);
     reg.counter("pe.spilled_bytes").add(stats.spilled_bytes);
-    reg.counter("pe.buffers_recycled").add(stats.buffers_recycled);
-    reg.counter("pe.buffers_allocated").add(stats.buffers_allocated);
     reg.counter("pe.peak_buffered_bytes", obs::MergeKind::max)
         .record_max(stats.peak_buffered_bytes);
     reg.counter("pe.arena.freelist_hits").add(stats.buffers_recycled);

@@ -29,7 +29,7 @@
 
 namespace kagen::pe {
 
-class ChunkBufferPool; // pe/chunk_pool.hpp (arena-backed chunk buffers)
+class SlabArena; // pe/arena.hpp (slabs behind the ordered path's chunk buffers)
 
 /// Work a single PE performs: produce its local edge list.
 using RankFn = std::function<EdgeList(u64 rank, u64 size)>;
@@ -155,7 +155,7 @@ struct ChunkOptions {
     /// Passing one keeps slab mappings warm across runs (the steady-state
     /// zero-allocation property then spans runs, not just chunks) — the
     /// future daemon's mode, and what the allocation-gate test drives.
-    ChunkBufferPool* arena = nullptr;
+    SlabArena* arena = nullptr;
 
     /// Affinity-aware dispatch: each pool ticket covers a group of this
     /// many consecutive chunks, run whole by one worker. The

@@ -42,7 +42,6 @@
 
 #include "kagen.hpp"
 #include "pe/arena.hpp"
-#include "pe/chunk_pool.hpp"
 #include "pe/pe.hpp"
 #include "sink/sinks.hpp"
 
@@ -151,17 +150,17 @@ constexpr unsigned long long kScheduleSlack = 24;
 /// Pre-reserves `slabs` arena slabs (unarmed), so armed runs never take the
 /// fresh-mapping path: every acquire is a freelist hit and the arena's
 /// bookkeeping vector never grows mid-measurement.
-void prewarm_arena(pe::ChunkBufferPool& pool, u64 slabs) {
+void prewarm_arena(pe::SlabArena& arena, u64 slabs) {
     std::vector<pe::Slab*> held;
     held.reserve(slabs);
-    for (u64 i = 0; i < slabs; ++i) held.push_back(pool.arena().acquire());
-    for (pe::Slab* s : held) pool.arena().release(s);
+    for (u64 i = 0; i < slabs; ++i) held.push_back(arena.acquire());
+    for (pe::Slab* s : held) arena.release(s);
 }
 
 /// One armed run on the warm external arena: P=4, K=3, threads=3 per the
 /// gate's pinned configuration; `total_chunks` scales the chunk count
 /// without touching anything else.
-unsigned long long armed_run(pe::ThreadPool& pool, pe::ChunkBufferPool& arena,
+unsigned long long armed_run(pe::ThreadPool& pool, pe::SlabArena& arena,
                              u64 total_chunks, const pe::ChunkFn& fn,
                              EdgeSink& sink) {
     pe::ChunkOptions opt;
@@ -180,7 +179,7 @@ unsigned long long armed_run(pe::ThreadPool& pool, pe::ChunkBufferPool& arena,
 
 /// Deterministic all-participants-flushed ceiling for one configuration.
 template <typename MakeSinkFn>
-unsigned long long max_count(pe::ThreadPool& pool, pe::ChunkBufferPool& arena,
+unsigned long long max_count(pe::ThreadPool& pool, pe::SlabArena& arena,
                              u64 total_chunks, const pe::ChunkFn& fn,
                              MakeSinkFn&& make_sink) {
     unsigned long long best = 0;
@@ -218,7 +217,7 @@ pe::ChunkFn model_fn(Config cfg) {
 TEST(AllocGate, SyntheticPipelineZeroMarginalAllocations) {
     KAGEN_ALLOC_GATE_SKIP();
     pe::ThreadPool pool(2); // 3 participants = opt.threads
-    pe::ChunkBufferPool arena;
+    pe::SlabArena arena;
     prewarm_arena(arena, 128);
 
     // Allocation-free body, NOT suppressed: the armed count covers the
@@ -260,7 +259,7 @@ TEST(AllocGate, SyntheticPipelineZeroMarginalAllocations) {
 TEST(AllocGate, GnmPipelineIndependentOfChunksAndEdges) {
     KAGEN_ALLOC_GATE_SKIP();
     pe::ThreadPool pool(2);
-    pe::ChunkBufferPool arena;
+    pe::SlabArena arena;
     prewarm_arena(arena, 128);
 
     Config cfg;
@@ -306,7 +305,7 @@ TEST(AllocGate, GnmPipelineIndependentOfChunksAndEdges) {
 TEST(AllocGate, RmatPipelineIndependentOfChunksAndEdges) {
     KAGEN_ALLOC_GATE_SKIP();
     pe::ThreadPool pool(2);
-    pe::ChunkBufferPool arena;
+    pe::SlabArena arena;
     prewarm_arena(arena, 128);
 
     Config cfg;
@@ -359,7 +358,7 @@ TEST(AllocGate, RmatPipelineIndependentOfChunksAndEdges) {
 TEST(AllocGate, Rgg2DPipelineIndependentOfChunks) {
     KAGEN_ALLOC_GATE_SKIP();
     pe::ThreadPool pool(2);
-    pe::ChunkBufferPool arena;
+    pe::SlabArena arena;
     prewarm_arena(arena, 128);
 
     Config cfg;

@@ -1,8 +1,9 @@
 // Distributed backend: multi-process byte-identity against the in-process
 // chunked engine, merged-stats exactness, worker failure propagation (no
-// hang, no partial files), chunk-range scheduling, and the O_CLOEXEC
-// descriptor hygiene that keeps exec'd children off the coordinator's
-// files.
+// hang, no partial files, no leftover children), the coordinator leaving
+// the process's signal handling alone, chunk-range scheduling, and the
+// O_CLOEXEC descriptor hygiene that keeps exec'd children off the
+// coordinator's files.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -20,6 +21,8 @@
 
 #include "graph/io.hpp"
 #include "kagen.hpp"
+#include "net/coordinator.hpp"
+#include "net/worker.hpp"
 #include "sink/spill.hpp"
 
 namespace kagen {
@@ -246,8 +249,18 @@ TEST(Dist, DedupPassMatchesUnionUndirected) {
 // Worker failure propagation: descriptive error, no hang, no partial files
 // ---------------------------------------------------------------------------
 
+/// The coordinator must have killed and reaped every child it forked:
+/// waitpid(-1) then finds no child at all.
+void expect_no_children(const std::string& tag) {
+    int status = 0;
+    errno      = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << tag << ": child left behind";
+    EXPECT_EQ(errno, ECHILD) << tag;
+}
+
 /// Runs a failing distributed job with a dedicated scratch dir and returns
-/// the thrown message; asserts no file (rank scratch or output) survives.
+/// the thrown message; asserts no file (rank scratch or output) and no
+/// child process survives.
 std::string run_failing(Config cfg, dist::DistOptions opts,
                         const std::string& tag) {
     const std::string scratch = tmp_path(tag + "_scratch");
@@ -269,6 +282,7 @@ std::string run_failing(Config cfg, dist::DistOptions opts,
     EXPECT_EQ(::rmdir(scratch.c_str()), 0)
         << tag << ": rank files left behind in " << scratch;
     std::remove(opts.output_path.c_str());
+    expect_no_children(tag);
     return message;
 }
 
@@ -319,6 +333,79 @@ TEST(DistFailure, InvalidOptionsThrowBeforeForking) {
     Config bad        = cfg;
     bad.chunks_per_pe = 0;
     EXPECT_THROW(generate_distributed(bad, {}), std::invalid_argument);
+    expect_no_children("invalid options");
+}
+
+// ---------------------------------------------------------------------------
+// The coordinator leaves the process's signal handling alone
+// ---------------------------------------------------------------------------
+
+/// The current SIGPIPE handler of this process.
+void (*sigpipe_handler())(int) {
+    struct sigaction current{};
+    EXPECT_EQ(::sigaction(SIGPIPE, nullptr, &current), 0);
+    return current.sa_handler;
+}
+
+TEST(DistSignals, CoordinatorLeavesSigpipeDispositionAlone) {
+    // Every coordinator send passes MSG_NOSIGNAL and it writes only files,
+    // so neither transport may touch SIGPIPE. Start from the default so a
+    // coordinator that ignores the signal shows up as a change.
+    struct sigaction saved{};
+    ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &saved), 0);
+    ASSERT_NE(::signal(SIGPIPE, SIG_DFL), SIG_ERR);
+
+    Config cfg        = model_config(Model::GnmUndirected);
+    cfg.chunks_per_pe = 2;
+
+    // TCP: the workers run in child processes, so their own SIG_IGN stays
+    // out of this process.
+    {
+        net::Listener listener(net::parse_endpoint("127.0.0.1:0"));
+        const std::string spec = "127.0.0.1:" + std::to_string(listener.port());
+        std::fflush(stdout);
+        std::fflush(stderr);
+        std::vector<pid_t> workers;
+        for (int w = 0; w < 2; ++w) {
+            const pid_t pid = ::fork();
+            ASSERT_GE(pid, 0);
+            if (pid == 0) {
+                int code = 1;
+                try {
+                    net::NetWorkerOptions wopts;
+                    wopts.scratch_dir = ::testing::TempDir();
+                    code              = net::run_net_worker(spec, wopts);
+                } catch (...) {
+                }
+                ::_exit(code);
+            }
+            workers.push_back(pid);
+        }
+        net::NetOptions opts;
+        opts.listener       = &listener;
+        opts.expect_workers = 2;
+        opts.output_path    = tmp_path("sigpipe_tcp.bin");
+        EXPECT_NO_THROW(net::run_net_coordinator(cfg, opts));
+        for (const pid_t pid : workers) {
+            int status = 0;
+            ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+            EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+        }
+        std::remove(opts.output_path.c_str());
+        EXPECT_EQ(sigpipe_handler(), SIG_DFL) << "TCP run changed SIGPIPE";
+    }
+
+    // Fork: the ranks ignore SIGPIPE in their own processes only.
+    {
+        dist::DistOptions opts;
+        opts.num_ranks   = 2;
+        opts.output_path = tmp_path("sigpipe_fork.bin");
+        EXPECT_NO_THROW(generate_distributed(cfg, opts));
+        std::remove(opts.output_path.c_str());
+        EXPECT_EQ(sigpipe_handler(), SIG_DFL) << "fork run changed SIGPIPE";
+    }
+
+    ASSERT_EQ(::sigaction(SIGPIPE, &saved, nullptr), 0);
 }
 
 // ---------------------------------------------------------------------------

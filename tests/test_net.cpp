@@ -407,11 +407,11 @@ TEST_P(NetByteIdentity, MatchesSingleProcessAndForkBackend) {
     opts.num_pes        = pes;
     opts.output_path    = tmp_path(tag + ".net.bin");
     WorkerFleet fleet(listener.port(), 4);
-    const net::NetResult res = net::run_net_coordinator(cfg, opts);
+    const dist::DistResult res = net::run_net_coordinator(cfg, opts);
     fleet.join();
     for (const auto& err : fleet.errors()) EXPECT_TRUE(err.empty()) << err;
 
-    EXPECT_EQ(res.num_workers, 4u);
+    EXPECT_EQ(res.num_ranks, 4u);
     EXPECT_EQ(res.num_chunks, cfg.chunks_per_pe * pes);
     EXPECT_EQ(read_bytes(opts.output_path), ref)
         << model_name(model) << " over TCP diverged from single-process";
@@ -456,7 +456,7 @@ TEST(NetTelemetry, TelemetryRunStaysByteIdenticalAndMergesEveryRank) {
     opts.num_pes        = pes;
     opts.output_path    = tmp_path("telemetry.net.bin");
     WorkerFleet fleet(listener.port(), 2);
-    const net::NetResult res = net::run_net_coordinator(cfg, opts);
+    const dist::DistResult res = net::run_net_coordinator(cfg, opts);
     fleet.join();
     for (const auto& err : fleet.errors()) EXPECT_TRUE(err.empty()) << err;
 
@@ -479,6 +479,8 @@ TEST(NetTelemetry, TelemetryRunStaysByteIdenticalAndMergesEveryRank) {
     const std::string metrics = read_bytes(cfg.metrics_path);
     EXPECT_NE(metrics.find("\"counters\""), std::string::npos);
     EXPECT_NE(metrics.find("\"pe.chunks\""), std::string::npos);
+    // One metric name for merged bytes, whichever transport gathered them.
+    EXPECT_NE(metrics.find("\"dist.merged_bytes\""), std::string::npos);
 
     std::remove(opts.output_path.c_str());
     std::remove(ref_path.c_str());
@@ -503,7 +505,7 @@ TEST(NetCoordinator, StatsOnlyRunMergesExactly) {
     opts.num_pes        = 4;
     opts.degree_stats   = true;
     WorkerFleet fleet(listener.port(), 3);
-    const net::NetResult res = net::run_net_coordinator(cfg, opts);
+    const dist::DistResult res = net::run_net_coordinator(cfg, opts);
     fleet.join();
 
     EXPECT_EQ(res.count.num_edges, ref.num_edges);
@@ -527,7 +529,7 @@ TEST(NetCoordinator, ManifestModeKeepsRankFilesAndNamesThem) {
     opts.num_pes        = pes;
     opts.manifest_path  = tmp_path("run.manifest");
     WorkerFleet fleet(listener.port(), 2);
-    const net::NetResult res = net::run_net_coordinator(cfg, opts);
+    const dist::DistResult res = net::run_net_coordinator(cfg, opts);
     fleet.join();
 
     ASSERT_EQ(res.manifest.size(), 2u);
@@ -537,7 +539,7 @@ TEST(NetCoordinator, ManifestModeKeepsRankFilesAndNamesThem) {
     std::string payload;
     u64 manifest_edges = 0;
     for (u64 w = 0; w < res.manifest.size(); ++w) {
-        const net::NetManifestEntry& entry = res.manifest[w];
+        const dist::ManifestEntry& entry = res.manifest[w];
         EXPECT_EQ(entry.rank, w);
         ASSERT_TRUE(file_exists(entry.path)) << entry.path;
         const std::string bytes = read_bytes(entry.path);

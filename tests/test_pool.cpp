@@ -1,5 +1,5 @@
-// Hot-path scheduling + slab recycling (DESIGN.md §9, §14): arena-backed
-// ChunkBufferPool units, recycled multi-worker ordered delivery
+// Hot-path scheduling + slab recycling (DESIGN.md §9, §14): chunk buffers
+// over a SlabArena, recycled multi-worker ordered delivery
 // (byte-identical to sequential, recycling engaged — including in
 // bounded-memory mode, where released slabs decommit instead of the pool
 // switching off), ascending ticket dispatch (tasks start in canonical
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "kagen.hpp"
-#include "pe/chunk_pool.hpp"
+#include "pe/arena.hpp"
 #include "pe/pe.hpp"
 #include "sink/sinks.hpp"
 
@@ -35,81 +35,59 @@ EdgeList some_edges(u64 count, u64 salt = 0) {
 }
 
 // ---------------------------------------------------------------------------
-// ChunkBufferPool units
+// Chunk buffers over a SlabArena (the slab-level freelist, decommit and
+// fallback cases live in test_arena.cpp)
 // ---------------------------------------------------------------------------
 
-TEST(ChunkBufferPool, RecyclesSlabsAndCountsHits) {
-    pe::ChunkBufferPool pool;
+TEST(ArenaChunkBuffers, RecyclesSlabsAndCountsHits) {
+    pe::SlabArena arena;
 
-    pe::ChunkBuffer a = pool.acquire();
-    EXPECT_EQ(pool.buffers_allocated(), 0u) << "no slab until first write";
+    pe::ChunkBuffer a(&arena);
+    EXPECT_EQ(arena.slabs_reserved(), 0u) << "no slab until first write";
 
     const EdgeList src = some_edges(1000);
     a.append(src.data(), src.size());
-    EXPECT_EQ(pool.buffers_allocated(), 1u);
-    EXPECT_EQ(pool.buffers_recycled(), 0u);
+    EXPECT_EQ(arena.slabs_reserved(), 1u);
+    EXPECT_EQ(arena.freelist_hits(), 0u);
     const Edge* data = nullptr;
     a.for_each_segment([&](EdgeSpan seg) { data = seg.data; });
     ASSERT_NE(data, nullptr);
-    pool.release(a);
-    EXPECT_EQ(pool.buffers_retained(), 1u);
+    a.release();
+    EXPECT_EQ(arena.freelist_size(), 1u);
 
-    pe::ChunkBuffer b = pool.acquire();
+    pe::ChunkBuffer b(&arena);
     b.append(src.data(), src.size());
-    EXPECT_EQ(pool.buffers_recycled(), 1u);
-    EXPECT_EQ(pool.buffers_allocated(), 1u) << "reuse must not map a new slab";
+    EXPECT_EQ(arena.freelist_hits(), 1u);
+    EXPECT_EQ(arena.slabs_reserved(), 1u) << "reuse must not map a new slab";
     const Edge* data2 = nullptr;
     b.for_each_segment([&](EdgeSpan seg) { data2 = seg.data; });
     EXPECT_EQ(data2, data) << "freelist must hand back the same slab";
 }
 
-TEST(ChunkBufferPool, FreelistHoldsAllReleasedSlabs) {
+TEST(ArenaChunkBuffers, FreelistHoldsAllReleasedSlabs) {
     // The arena has no retention cap: a released slab keeps its mapping on
     // the freelist for the lifetime of the arena (bounded-memory runs
-    // decommit the payload pages instead of unmapping — see below).
-    pe::ChunkBufferPool pool;
+    // decommit the payload pages instead of unmapping).
+    pe::SlabArena arena;
     const EdgeList src = some_edges(16);
     std::vector<pe::ChunkBuffer> bufs;
     for (int i = 0; i < 5; ++i) {
-        pe::ChunkBuffer b = pool.acquire();
+        pe::ChunkBuffer b(&arena);
         b.append(src.data(), src.size());
         bufs.push_back(std::move(b));
     }
-    for (auto& b : bufs) pool.release(b);
-    EXPECT_EQ(pool.buffers_retained(), 5u);
-    EXPECT_EQ(pool.buffers_allocated(), 5u);
+    for (auto& b : bufs) b.release();
+    EXPECT_EQ(arena.freelist_size(), 5u);
+    EXPECT_EQ(arena.slabs_reserved(), 5u);
 }
 
-TEST(ChunkBufferPool, DecommitModeStillRecycles) {
-    // Bounded-memory mode: released slabs give their payload pages back to
-    // the kernel but keep the mapping, so recycling stays on — the
-    // pre-arena pool had to switch itself off here entirely.
-    pe::ChunkBufferPool pool(0, /*populate=*/false, /*decommit_on_release=*/true);
-    const EdgeList src = some_edges(8);
-    pe::ChunkBuffer a  = pool.acquire();
-    a.append(src.data(), src.size());
-    pool.release(a);
-    EXPECT_EQ(pool.buffers_retained(), 1u);
-
-    pe::ChunkBuffer b = pool.acquire();
-    b.append(src.data(), src.size());
-    EXPECT_EQ(pool.buffers_recycled(), 1u);
-    EXPECT_EQ(pool.buffers_allocated(), 1u);
-    // The decommitted-and-reused payload must read back intact.
-    u64 i = 0;
-    b.for_each_segment([&](EdgeSpan seg) {
-        for (const Edge& e : seg) EXPECT_EQ(e, src[i++]);
-    });
-    EXPECT_EQ(i, src.size());
-}
-
-TEST(ChunkBufferPool, UntouchedBuffersHoldNoSlab) {
-    pe::ChunkBufferPool pool;
-    pe::ChunkBuffer b = pool.acquire();
+TEST(ArenaChunkBuffers, UntouchedBuffersHoldNoSlab) {
+    pe::SlabArena arena;
+    pe::ChunkBuffer b(&arena);
     EXPECT_EQ(b.slabs_held(), 0u);
-    pool.release(b); // nothing to hand back
-    EXPECT_EQ(pool.buffers_retained(), 0u);
-    EXPECT_EQ(pool.buffers_allocated(), 0u);
+    b.release(); // nothing to hand back
+    EXPECT_EQ(arena.freelist_size(), 0u);
+    EXPECT_EQ(arena.slabs_reserved(), 0u);
 }
 
 // ---------------------------------------------------------------------------
