@@ -6,9 +6,9 @@
 //   * hypergeometric variates: inversion vs HRUA rejection,
 //   * hash-seeded Mersenne Twister construction (what one recursion-node
 //     reseed costs — why seeds are drawn per subtree, not per sample),
-//   * the sampler-v2 engine pieces (PR 6): fused bulk Exp(1) fill vs the
-//     two-pass refill, and sorted_sample v1 vs v2 on the headline chunk
-//     shape — the ablation behind the >= 2x Gnm headline claim.
+//   * the sampler-v2 engine pieces: the fused bulk Exp(1) fill, and
+//     sorted_sample v1 vs v2 at three densities — the ablation behind the
+//     >= 2x Gnm headline claim.
 #include "bench_common.hpp"
 #include "prng/rng.hpp"
 #include "sampling/sampling.hpp"
@@ -73,22 +73,6 @@ void HashSeededRngConstruction(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 
-void ExpFill_TwoPassTableLog(benchmark::State& state) {
-    // The pre-fusion refill: bulk uniforms, then scalar -fast_log per
-    // element (the table gather blocks vectorization of the second pass).
-    constexpr std::size_t kBlock = 256;
-    alignas(64) double buf[kBlock];
-    Rng rng(1);
-    double acc = 0.0;
-    for (auto _ : state) {
-        rng.fill_uniform_pos(buf, kBlock);
-        for (std::size_t i = 0; i < kBlock; ++i) buf[i] = -fast_log(buf[i]);
-        acc += buf[17];
-    }
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(state.iterations() * kBlock);
-}
-
 void ExpFill_FusedBranchless(benchmark::State& state) {
     // variates/exp_fill.hpp: counter -> mix -> uniform -> -log in one
     // vectorizable pass (AVX-512 clone where available).
@@ -104,32 +88,27 @@ void ExpFill_FusedBranchless(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * kBlock);
 }
 
-// One chunk of the Gnm headline workload (PerCoreThroughput's shape):
-// universe/k ~ 16384, the sparse Method-D regime both engines target.
+// sorted_sample at three densities u/k, k = 2^18 per call: 16 (just above
+// the u < 13k switch to Method A), 2^14 (PerCoreThroughput's chunk shape)
+// and 2^18 (perfbench gnm_count's chunk shape). items/s is samples/s.
+constexpr u64 kSampleK = u64{1} << 18;
+
+void sorted_sample_bench(benchmark::State& state, SamplerVersion version) {
+    const u64 universe = kSampleK * static_cast<u64>(state.range(0));
+    Rng rng(7);
+    u64 acc = 0;
+    for (auto _ : state) {
+        sorted_sample(rng, universe, kSampleK, [&](u64 s) { acc += s; }, version);
+    }
+    benchmark::DoNotOptimize(acc);
+    state.SetItemsProcessed(state.iterations() * kSampleK);
+}
+
+void SortedSample_V1(benchmark::State& state) { sorted_sample_bench(state, SamplerVersion::v1); }
+void SortedSample_V2(benchmark::State& state) { sorted_sample_bench(state, SamplerVersion::v2); }
+
+// The Gnp fast path's universe: PerCoreThroughput's chunk shape.
 constexpr u64 kChunkUniverse = u64{16384} * 262143;
-constexpr u64 kChunkK        = 262144;
-
-void SortedSample_V1(benchmark::State& state) {
-    Rng rng(7);
-    u64 acc = 0;
-    for (auto _ : state) {
-        sorted_sample(rng, kChunkUniverse, kChunkK, [&](u64 s) { acc += s; },
-                      SamplerVersion::v1);
-    }
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(state.iterations() * kChunkK);
-}
-
-void SortedSample_V2(benchmark::State& state) {
-    Rng rng(7);
-    u64 acc = 0;
-    for (auto _ : state) {
-        sorted_sample(rng, kChunkUniverse, kChunkK, [&](u64 s) { acc += s; },
-                      SamplerVersion::v2);
-    }
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(state.iterations() * kChunkK);
-}
 
 void BernoulliSample_V2(benchmark::State& state) {
     // The Gnp fast path: geometric skips at the headline density p = 1/16384.
@@ -152,10 +131,9 @@ BENCHMARK(Binomial_LargeMean_BTRS)->MinTime(0.2)->MinWarmUpTime(0.05);
 BENCHMARK(Hypergeometric_Small_Inversion)->MinTime(0.2)->MinWarmUpTime(0.05);
 BENCHMARK(Hypergeometric_Large_HRUA)->MinTime(0.2)->MinWarmUpTime(0.05);
 BENCHMARK(HashSeededRngConstruction)->MinTime(0.2)->MinWarmUpTime(0.05);
-BENCHMARK(ExpFill_TwoPassTableLog)->MinTime(0.2)->MinWarmUpTime(0.05);
 BENCHMARK(ExpFill_FusedBranchless)->MinTime(0.2)->MinWarmUpTime(0.05);
-BENCHMARK(SortedSample_V1)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
-BENCHMARK(SortedSample_V2)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
+BENCHMARK(SortedSample_V1)->Arg(16)->Arg(16384)->Arg(262144)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
+BENCHMARK(SortedSample_V2)->Arg(16)->Arg(16384)->Arg(262144)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BernoulliSample_V2)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -43,36 +43,6 @@ public:
         return z ^ (z >> 31);
     }
 
-    /// Fills `out` with `n` draws, identical in sequence to `n` calls of
-    /// `bits()`. SplitMix64 is a pure mix of (state + i·gamma), so the loop
-    /// body carries no dependency between iterations and auto-vectorizes —
-    /// the amortization point of the batched-variate engine (sampler v2,
-    /// variates/batch.hpp).
-    void fill_bits(u64* out, std::size_t n) {
-        const u64 base = state_;
-        for (std::size_t i = 0; i < n; ++i) {
-            u64 z  = base + static_cast<u64>(i + 1) * kGamma;
-            z      = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z      = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            out[i] = z ^ (z >> 31);
-        }
-        state_ = base + static_cast<u64>(n) * kGamma;
-    }
-
-    /// Fills `out` with `n` uniforms in (0, 1], identical in sequence to
-    /// `n` calls of `uniform_pos()`. Same vectorizable shape as fill_bits.
-    void fill_uniform_pos(double* out, std::size_t n) {
-        const u64 base = state_;
-        for (std::size_t i = 0; i < n; ++i) {
-            u64 z  = base + static_cast<u64>(i + 1) * kGamma;
-            z      = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z      = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            z      = z ^ (z >> 31);
-            out[i] = 1.0 - static_cast<double>(z >> 11) * 0x1.0p-53;
-        }
-        state_ = base + static_cast<u64>(n) * kGamma;
-    }
-
     /// Uniform integer in [0, bound), bound >= 1. Unbiased (rejection).
     u64 range(u64 bound) {
         assert(bound >= 1);
@@ -81,6 +51,23 @@ public:
             const u64 r = bits();
             if (r >= threshold) return r % bound;
         }
+    }
+
+    /// Uniform integer in [0, bound), bound >= 1, by Lemire's multiply-shift
+    /// with rejection: unbiased like range(), but the modulo runs only on
+    /// the rare draws whose low product word falls below bound.
+    u64 bounded(u64 bound) {
+        assert(bound >= 1);
+        u128 m  = static_cast<u128>(bits()) * bound;
+        u64 low = static_cast<u64>(m);
+        if (low < bound) {
+            const u64 threshold = (0 - bound) % bound; // 2^64 mod bound
+            while (low < threshold) {
+                m   = static_cast<u128>(bits()) * bound;
+                low = static_cast<u64>(m);
+            }
+        }
+        return static_cast<u64>(m >> 64);
     }
 
     /// Uniform integer in [0, bound) for 128-bit bounds.

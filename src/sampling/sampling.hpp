@@ -3,9 +3,11 @@
 ///
 /// Three layers:
 ///  1. `floyd_sample`      — Floyd's O(k) expected set sampling (unsorted).
-///  2. `sorted_sample`     — Vitter's sequential sampling (Method A for dense
-///                           draws, skip-based Method D otherwise); emits the
-///                           sample in increasing order with O(k) work.
+///  2. `sorted_sample`     — sequential sorted sampling with O(k) expected
+///                           work. v1 runs Vitter's Method D (Method A for
+///                           dense draws); v2 halves the universe by
+///                           hypergeometric draws down to cache-sized
+///                           leaves drawn by exponential spacings.
 ///  3. `ChunkedSampler`    — the divide-and-conquer distributed sampler of
 ///                           Sanders et al. [18]: the universe is split into
 ///                           consecutive chunks, the number of samples per
@@ -18,10 +20,10 @@
 /// every sample of every generator funnels through `emit`, and a type-erased
 /// indirect call per edge is exactly the kind of per-edge overhead the
 /// hot-path work (DESIGN.md §9) eliminates. With a template parameter the
-/// decode-and-emit lambdas of the callers inline into the skip loop. The
-/// variate sequence is untouched — outputs are bit-identical.
+/// decode-and-emit lambdas of the callers inline into the sampling loops.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <functional>
@@ -31,6 +33,7 @@
 #include "common/types.hpp"
 #include "prng/rng.hpp"
 #include "variates/batch.hpp"
+#include "variates/exp_fill.hpp"
 #include "variates/variates.hpp"
 
 namespace kagen {
@@ -41,13 +44,12 @@ namespace kagen {
 /// transcendentals, one variate per draw. Its output is pinned bit-exactly
 /// by the golden-file tests and stays the default.
 ///
-/// `v2` is the throughput engine: the same Method D recurrence fed from
-/// block-refilled variate buffers (variates/batch.hpp) with inline
-/// polynomial log/exp (variates/fast_math.hpp), a straight-line quick-accept
-/// path, and a geometric-skip fast path for Bernoulli-regime draws
-/// (`bernoulli_sample`). Identical *distribution*, different byte stream;
-/// validated by the statistical suites in tests/test_sampling.cpp.
-/// DESIGN.md §10 describes the split.
+/// `v2` is the throughput engine: hypergeometric halving down to leaves of
+/// at most 2048 samples, each drawn from one block of exponential spacings
+/// (`detail::spacings_sample`), and a geometric-skip path for
+/// Bernoulli-regime draws (`bernoulli_sample`). Identical *distribution*,
+/// different byte stream; its bytes are pinned by one golden fixture and
+/// are the same on every ISA. DESIGN.md §10 describes the split.
 enum class SamplerVersion { v1, v2 };
 
 /// Floyd's algorithm: k distinct integers from [0, universe), unsorted.
@@ -84,121 +86,102 @@ void method_a(Rng& rng, u64 universe, u64 k, u64 offset, Emit&& emit) {
     }
 }
 
-/// Method D, v2 engine: the same acceptance-rejection scheme as the v1
-/// body in `sorted_sample`, in Vitter's *fresh-draw* formulation and
-/// restructured so the cross-sample dependency chain is a handful of adds
-/// and multiplies instead of a log→exp round trip.
+/// Largest leaf of the v2 recursion. A leaf holds k+1 spacings (double)
+/// and k positions (u64) on the stack: 32 KiB at this bound, so the leaf's
+/// passes stay in L1/L2.
+inline constexpr u64 kSpacingsLeafSamples = 2048;
+
+/// Largest leaf universe. Up to 2^50 a double position S_i·u/S_{k+1}
+/// keeps at least 2 bits below the integer point, so flooring it loses no
+/// low bits of the position.
+inline constexpr u64 kSpacingsLeafUniverse = u64{1} << 50;
+
+/// v2 leaf: k distinct sorted positions of [0, universe) from k+1
+/// exponential spacings. With E_1..E_{k+1} iid Exp(1) and prefix sums S_i,
+/// (S_1, ..., S_k) / S_{k+1} are the order statistics of k iid uniforms on
+/// [0, 1), so floor(S_i · u / S_{k+1}) are k iid uniform positions, sorted.
+/// Dropping adjacent duplicates leaves the distinct values of those k
+/// draws; further iid draws top the set up until it holds k values. The
+/// result is the set of the first k distinct values of an iid uniform
+/// sequence, which is a uniform k-subset by symmetry. Top-ups are rare:
+/// about k²/(2u) per leaf, ~80 at k = 2048 and the dense switch u = 13k.
+/// They are kept sorted in the free tail pos[d, k) and merged on the way
+/// out.
 ///
-/// v1 follows Vitter's "reuse" optimization: the quick-accept test's
-/// by-product y1·(1-x/n)·(q/(q-s)) is conditionally U^(1/(k-1))-
-/// distributed and becomes the next proposal vprime — saving one exp call
-/// per sample at the price of welding every sample's transcendentals into
-/// one serial chain (that chain *is* the 45 ns/sample of v1). v2 instead
-/// draws each proposal fresh, vprime = U^(1/k) = exp(-E/k), with E pulled
-/// from the batched exponential buffer — equally exact (it is the
-/// unoptimized form of Vitter's Algorithm D), and the draw depends only
-/// on per-sample constants, so it schedules off the chain.
-///
-/// Remaining per-sample transcendentals are the short series kernels:
-/// exp(-E/k) and the quick-accept's (u·n/q)^(1/(k-1)) — rewritten as
-/// exp((log(n/q) - E')/(k-1)) with log(n/q) = neg_log1p((k-1)/n) — both
-/// hit fast_exp_small for large k. The quick-accept comparison is cleared
-/// of its division (y1·vprime·q <= q - s, all factors positive). The rare
-/// slow-accept (D4) keeps libm: it contributes nothing to runtime and its
-/// y2 product can leave the contracted fast_log domain.
+/// Only adds, one divide and multiplies touch the spacings, none of them a
+/// multiply feeding an add, so no compiler can contract them into an FMA:
+/// with the contraction-free fill, the positions are the same on every ISA.
 template <typename Emit>
-void sorted_sample_v2_core(Rng& rng, u64 universe, u64 k, Emit&& emit) {
-    constexpr double kAlphaInv = 13.0; // same Method A switch point as v1
-    u64 cur          = 0;
-    u64 remaining_n  = universe;
-    u64 remaining_k  = k;
-    double nreal     = static_cast<double>(remaining_n);
-    double kreal     = static_cast<double>(remaining_k);
-    double kinv      = 1.0 / kreal;
-    BatchedVariates var(rng);
-    double vprime    = fast_exp_auto(-var.exponential() * kinv);
-    double threshold = kAlphaInv * kreal;
+[[gnu::noinline]] void spacings_leaf(Rng& rng, u64 universe, u64 k, u64 offset,
+                                     Emit& emit) {
+    assert(k >= 1 && k <= kSpacingsLeafSamples && universe <= kSpacingsLeafUniverse);
+    alignas(64) double sums[kSpacingsLeafSamples + 1];
+    alignas(64) u64 pos[kSpacingsLeafSamples];
+    fill_exponential(rng, sums, k + 1);
+    double acc = 0.0;
+    for (u64 i = 0; i <= k; ++i) {
+        acc += sums[i];
+        sums[i] = acc;
+    }
+    const double scale = static_cast<double>(universe) / acc;
+    const u64 last     = universe - 1;
+    // Positions with adjacent duplicates dropped; `prev` starts outside the
+    // universe, so the first position is always kept.
+    u64 d    = 0;
+    u64 prev = ~u64{0};
+    for (u64 i = 0; i < k; ++i) {
+        const u64 p = std::min(last, static_cast<u64>(static_cast<i64>(sums[i] * scale)));
+        pos[d]      = p;
+        d += p != prev;
+        prev = p;
+    }
+    for (u64 end = d; end < k;) {
+        const u64 v = rng.bounded(universe);
+        if (std::binary_search(pos, pos + d, v)) continue;
+        u64* at = std::lower_bound(pos + d, pos + end, v);
+        if (at != pos + end && *at == v) continue;
+        std::move_backward(at, pos + end, pos + end + 1);
+        *at = v;
+        ++end;
+    }
+    u64 a = 0, b = d;
+    while (a < d && b < k) emit(offset + (pos[a] < pos[b] ? pos[a++] : pos[b++]));
+    while (a < d) emit(offset + pos[a++]);
+    while (b < k) emit(offset + pos[b++]);
+}
 
-    while (remaining_k > 1 && threshold < nreal) {
-        const double kmin1inv = 1.0 / (kreal - 1.0);
-        const double qu1real  = nreal - kreal + 1.0;
-        const u64 qu1         = remaining_n - remaining_k + 1;
-        // log(nreal/qu1real); t = (kreal-1)/nreal < 1/13 inside Method D.
-        const double logratio = neg_log1p((kreal - 1.0) / nreal);
-        u64 skip;
-        double skipreal;
-        for (;;) {
-            // D2: propose a skip from the continuous approximation.
-            const double x = nreal * (1.0 - vprime);
-            skip           = static_cast<u64>(x);
-            if (skip >= qu1) [[unlikely]] {
-                vprime = fast_exp_auto(-var.exponential() * kinv);
-                continue;
-            }
-            // D3: quick acceptance — straight-line, division-free.
-            // y1 = (u·nreal/qu1real)^(1/(k-1)), with log u = -E batched.
-            const double y1 =
-                fast_exp_auto((logratio - var.exponential()) * kmin1inv);
-            skipreal = static_cast<double>(skip);
-            if (y1 * vprime * qu1real <= qu1real - skipreal) [[likely]] break;
-            // D4: slow acceptance via the exact ratio. v1 evaluates the
-            // ratio of falling factorials y2 = Π (top-i)/(bottom-i) with an
-            // O(skip) serial divide loop; at ~0.14% entry rate × ~n/k
-            // iterations that loop still costs more than everything else in
-            // the engine combined (~2.4 divide iterations per sample).
-            // v2 uses the closed form via lgamma — four calls instead of
-            // thousands of divides. The ~1e-5 relative error of differencing
-            // large lgammas perturbs a test that decides ~0.1% of samples;
-            // distributionally invisible (tests/test_sampling.cpp bounds it).
-            double top0 = nreal - 1.0;
-            double bot0;
-            double niter; // loop length of v1's product, in closed form
-            if (kreal - 1.0 > skipreal) {
-                bot0  = nreal - kreal;
-                niter = skipreal;
-            } else {
-                bot0  = nreal - skipreal - 1.0;
-                niter = kreal - 1.0;
-            }
-            const double log_y2 = lgamma_threadsafe(top0 + 1.0) -
-                                  lgamma_threadsafe(top0 + 1.0 - niter) -
-                                  lgamma_threadsafe(bot0 + 1.0) +
-                                  lgamma_threadsafe(bot0 + 1.0 - niter);
-            if (nreal / (nreal - x) >= y1 * std::exp(log_y2 * kmin1inv)) {
-                break; // accepted; the bottom-of-sample draw refreshes vprime
-            }
-            vprime = fast_exp_auto(-var.exponential() * kinv);
+/// v2 engine: the divide-and-conquer sampler of Sanders et al. [18] run
+/// below the chunk. [0, universe) is halved by hypergeometric draws until a
+/// part holds at most kSpacingsLeafSamples samples and kSpacingsLeafUniverse
+/// positions; sparse leaves take `spacings_leaf`, dense ones (u < 13k, the
+/// same switch point as v1) Method A. All draws come from `rng` in
+/// depth-first order, so the output is a pure function of the Rng state.
+template <typename Emit>
+void spacings_sample(Rng& rng, u64 universe, u64 k, u64 offset, Emit& emit) {
+    if (k == 0) return;
+    if (k <= kSpacingsLeafSamples && universe <= kSpacingsLeafUniverse) {
+        if (universe < 13 * k) {
+            method_a(rng, universe, k, offset, emit);
+        } else {
+            spacings_leaf(rng, universe, k, offset, emit);
         }
-        emit(cur + skip);
-        cur += skip + 1;
-        remaining_n -= skip + 1;
-        nreal -= skipreal + 1.0;
-        --remaining_k;
-        kreal -= 1.0;
-        kinv = kmin1inv;
-        threshold -= kAlphaInv;
-        // Fresh proposal for the next sample at its k. Depends only on the
-        // new kinv and the buffer cursor — off the skip→nreal→skip chain.
-        vprime = fast_exp_auto(-var.exponential() * kinv);
+        return;
     }
-
-    if (remaining_k > 1) {
-        // Method A does no transcendental work — shared with v1 verbatim.
-        method_a(rng, remaining_n, remaining_k, cur, emit);
-    } else {
-        // Here vprime = U^(1/1) = U: same final-skip law as v1.
-        const u64 skip = std::min<u64>(static_cast<u64>(nreal * vprime), remaining_n - 1);
-        emit(cur + skip);
-    }
+    const u64 left = universe / 2;
+    const u64 h    = hypergeometric(rng, universe, left, k);
+    assert(h <= left && k - h <= universe - left);
+    spacings_sample(rng, left, h, offset, emit);
+    spacings_sample(rng, universe - left, k - h, offset + left, emit);
 }
 
 } // namespace detail
 
 /// Sequential sampling of `k` distinct integers from [0, universe), emitted
-/// in increasing order through `emit`. Uses Vitter's Method D (skip
-/// distances via acceptance-rejection) and falls back to Method A when the
-/// sampling fraction is high. Expected time O(k) regardless of universe.
-/// `version` selects the engine; the default v1 stream is bit-pinned.
+/// in increasing order through `emit`. Expected time O(k) regardless of
+/// universe. `version` selects the engine: v1 (the default, bit-pinned)
+/// runs Vitter's Method D (skip distances via acceptance-rejection) and
+/// falls back to Method A when the sampling fraction is high; v2 runs
+/// `detail::spacings_sample`.
 template <typename Emit>
 void sorted_sample(Rng& rng, u64 universe, u64 k, Emit&& emit,
                    SamplerVersion version = SamplerVersion::v1) {
@@ -209,7 +192,7 @@ void sorted_sample(Rng& rng, u64 universe, u64 k, Emit&& emit,
         return;
     }
     if (version == SamplerVersion::v2) {
-        detail::sorted_sample_v2_core(rng, universe, k, emit);
+        detail::spacings_sample(rng, universe, k, 0, emit);
         return;
     }
 

@@ -1,35 +1,27 @@
 /// \file batch.hpp
-/// \brief Block-refilled uniform / exponential variate buffers (sampler v2).
+/// \brief Block-refilled exponential variate buffer (sampler v2).
 ///
-/// The v1 skip loop draws one uniform at a time and pays the full scalar
-/// cost per draw: a SplitMix64 step whose mix chain serializes on the
-/// previous state, plus a libm call per transcendental. This buffer
-/// amortizes both. `Rng::fill_uniform_pos` writes a whole block with a
-/// counter-based, dependency-free loop (auto-vectorizes), and the
-/// exponential block is produced by the fused counter->-log(U) kernel of
-/// variates/exp_fill.hpp — so by the time the skip recurrence asks for a
-/// variate, the transcendental work has already happened at vector
-/// throughput instead of one scalar call per skip.
+/// `bernoulli_sample` draws one Exp(1) variate per emitted position. A
+/// scalar draw pays a SplitMix64 step plus a libm log each; this buffer
+/// instead refills 256 slots at once with the fused counter->-log(U)
+/// kernel of variates/exp_fill.hpp, so the transcendental work runs at
+/// vector throughput instead of one scalar call per skip.
 ///
 /// Determinism: a BatchedVariates over a chunk-seeded Rng is a pure
 /// function of (seed, consumption sequence). Both owners of a duplicated
 /// chunk run the identical v2 sampler code, hence consume in the same
 /// order and see identical variates — the communication-free
 /// recomputation contract (DESIGN.md §2) holds for v2 exactly as for v1.
-/// The *stream mapping* differs from scalar draws (uniforms and
-/// exponentials pull interleaved blocks from one underlying Rng), which is
-/// why v2 is output-changing and lives behind Config::sampler_version.
 ///
-/// Block size: 256 doubles = 2 KiB per buffer, comfortably L1-resident
-/// alongside the sampler's working set while long enough that the refill
-/// loop's vector throughput dominates its ramp-up.
+/// Block size: 256 doubles = 2 KiB, comfortably L1-resident alongside the
+/// sampler's working set while long enough that the refill loop's vector
+/// throughput dominates its ramp-up.
 #pragma once
 
 #include <cstddef>
 
 #include "prng/rng.hpp"
 #include "variates/exp_fill.hpp"
-#include "variates/fast_math.hpp"
 
 namespace kagen {
 
@@ -39,34 +31,19 @@ public:
     /// own draws with buffered ones if reproducibility matters.
     explicit BatchedVariates(Rng& rng) : rng_(&rng) {}
 
-    /// Next uniform in (0, 1].
-    double uniform_pos() {
-        if (uni_pos_ == kBlock) refill_uniform();
-        return uni_[uni_pos_++];
-    }
-
     /// Next Exp(1) variate, i.e. -log(U) with U in (0, 1].
     double exponential() {
-        if (exp_pos_ == kBlock) refill_exponential();
+        if (exp_pos_ == kBlock) {
+            fill_exponential(*rng_, exp_, kBlock);
+            exp_pos_ = 0;
+        }
         return exp_[exp_pos_++];
     }
 
 private:
     static constexpr std::size_t kBlock = 256;
 
-    void refill_uniform() {
-        rng_->fill_uniform_pos(uni_, kBlock);
-        uni_pos_ = 0;
-    }
-
-    void refill_exponential() {
-        fill_exponential(*rng_, exp_, kBlock);
-        exp_pos_ = 0;
-    }
-
-    alignas(64) double uni_[kBlock];
     alignas(64) double exp_[kBlock];
-    std::size_t uni_pos_ = kBlock;
     std::size_t exp_pos_ = kBlock;
     Rng* rng_;
 };

@@ -1,25 +1,23 @@
 /// \file exp_fill.hpp
 /// \brief Fused bulk Exp(1) fill: counter -> mix -> uniform -> -log, one pass.
 ///
-/// The batched-variate engine's refill cost is the v2 sampler's largest
-/// throughput item (~2 exponentials per Method-D sample). A two-pass refill
-/// (fill_uniform_pos, then -fast_log per element) costs ~6 ns/element at
-/// baseline codegen because the table-indexed log kernel gathers, which
-/// blocks vectorization. This header fuses the whole derivation into one
-/// branchless, table-free loop — SplitMix64 mix, uniform conversion, and a
-/// division-reduced atanh-series log — that the compiler vectorizes end to
-/// end when the ISA allows. On AVX-512 (vpmullq for the 64-bit mixes,
-/// vdivpd amortized 8-wide) the fused loop measures ~2.3 ns/element.
+/// The fill supplies every Exp(1) variate of sampler v2: the spacings of a
+/// `sorted_sample` leaf and the gaps of `bernoulli_sample`. A two-pass
+/// refill (uniforms first, then a table-indexed log per element) gathers,
+/// which blocks vectorization. This header fuses the whole derivation into
+/// one branchless, table-free loop — SplitMix64 mix, uniform conversion,
+/// and a division-reduced atanh-series log — that the compiler vectorizes
+/// end to end when the ISA allows.
 ///
 /// Dispatch: an AVX-512 clone is selected once per process via
 /// __builtin_cpu_supports; every other build or machine takes the portable
-/// scalar loop of the same arithmetic. Both paths evaluate the same
-/// formula, but the vector clone is compiled with FMA contraction, so the
-/// low bits of the results may differ across machines. That is inside the
-/// v2 contract: v2 promises within-process determinism (both owners of a
-/// duplicated chunk run the same clone) and distributional correctness
-/// (rel. error vs libm < 2e-12, far below statistical resolution), not
-/// cross-machine byte identity — which remains v1's job (DESIGN.md §10).
+/// scalar loop of the same arithmetic. Both copies are compiled with FP
+/// contraction off (KAGEN_NO_FP_CONTRACT), in this header rather than as a
+/// build flag, because every translation unit that includes it compiles its
+/// own copies. Without contraction each element is the same sequence of
+/// IEEE-rounded operations in either copy, so the two are bitwise equal
+/// (tests/test_variates.cpp compares them) and v2 bytes do not depend on
+/// the ISA of the machine that draws them (DESIGN.md §10).
 #pragma once
 
 #include <bit>
@@ -32,6 +30,17 @@
 #define KAGEN_EXP_FILL_AVX512 1
 #endif
 
+#if defined(__clang__)
+#define KAGEN_NO_FP_CONTRACT
+#define KAGEN_FP_CONTRACT_OFF_PRAGMA _Pragma("clang fp contract(off)")
+#elif defined(__GNUC__)
+#define KAGEN_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#define KAGEN_FP_CONTRACT_OFF_PRAGMA
+#else
+#define KAGEN_NO_FP_CONTRACT
+#define KAGEN_FP_CONTRACT_OFF_PRAGMA
+#endif
+
 namespace kagen {
 
 namespace expfill_detail {
@@ -42,6 +51,7 @@ namespace expfill_detail {
 /// odd series through t^13 (abs error < 5e-13). One divide per element,
 /// amortized across vector lanes; everything else is mul/add.
 #define KAGEN_EXP_FILL_BODY                                                    \
+    KAGEN_FP_CONTRACT_OFF_PRAGMA                                               \
     constexpr double kLn2   = 6.93147180559945309417e-01;                      \
     constexpr double kSqrt2 = 1.41421356237309514547;                          \
     for (std::size_t i = 0; i < n; ++i) {                                      \
@@ -68,18 +78,20 @@ namespace expfill_detail {
         out[i]          = -(ed * kLn2 + (2.0 * t) * p);                        \
     }
 
-inline void fill_scalar(u64 base, double* out, std::size_t n) {
+KAGEN_NO_FP_CONTRACT inline void fill_scalar(u64 base, double* out, std::size_t n) {
     KAGEN_EXP_FILL_BODY
 }
 
 #if KAGEN_EXP_FILL_AVX512
-__attribute__((target("avx512f,avx512dq,avx512vl,fma"))) inline void
+__attribute__((target("avx512f,avx512dq,avx512vl,fma"))) KAGEN_NO_FP_CONTRACT inline void
 fill_avx512(u64 base, double* out, std::size_t n) {
     KAGEN_EXP_FILL_BODY
 }
 #endif
 
 #undef KAGEN_EXP_FILL_BODY
+#undef KAGEN_FP_CONTRACT_OFF_PRAGMA
+#undef KAGEN_NO_FP_CONTRACT
 
 } // namespace expfill_detail
 

@@ -43,6 +43,7 @@
 #include "kagen.hpp"
 #include "pe/arena.hpp"
 #include "pe/pe.hpp"
+#include "sampling/sampling.hpp"
 #include "sink/sinks.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -262,44 +263,72 @@ TEST(AllocGate, GnmPipelineIndependentOfChunksAndEdges) {
     pe::SlabArena arena;
     prewarm_arena(arena, 128);
 
-    Config cfg;
-    cfg.model = Model::GnmUndirected;
-    cfg.n     = 4000;
-    cfg.m     = 16000;
-    cfg.seed  = 7;
-    Config cfg4m = cfg;
-    cfg4m.m      = 64000;
-
     const std::string path = std::string("/tmp/kagen_alloc_gate_") +
                              std::to_string(::getpid()) + ".bin";
     const auto make_sink = [&path] {
         return std::make_unique<BinaryFileSink>(path);
     };
 
-    const pe::ChunkFn fn    = model_fn(cfg);
-    const pe::ChunkFn fn_4m = model_fn(cfg4m);
+    for (const SamplerVersion version : {SamplerVersion::v1, SamplerVersion::v2}) {
+        SCOPED_TRACE(version == SamplerVersion::v1 ? "sampler v1" : "sampler v2");
+        Config cfg;
+        cfg.model           = Model::GnmUndirected;
+        cfg.n               = 4000;
+        cfg.m               = 16000;
+        cfg.seed            = 7;
+        cfg.sampler_version = version;
+        Config cfg4m = cfg;
+        cfg4m.m      = 64000;
 
-    { // warm-up at the largest scale, unarmed
-        BinaryFileSink warm(path);
-        pe::ChunkOptions opt;
-        opt.num_pes       = 4;
-        opt.chunks_per_pe = 3;
-        opt.total_chunks  = 48;
-        opt.threads       = 3;
-        opt.pool          = &pool;
-        opt.arena         = &arena;
-        pe::run_chunked(opt, fn_4m, warm);
-        warm.finish();
+        const pe::ChunkFn fn    = model_fn(cfg);
+        const pe::ChunkFn fn_4m = model_fn(cfg4m);
+
+        { // warm-up at the largest scale, unarmed
+            BinaryFileSink warm(path);
+            pe::ChunkOptions opt;
+            opt.num_pes       = 4;
+            opt.chunks_per_pe = 3;
+            opt.total_chunks  = 48;
+            opt.threads       = 3;
+            opt.pool          = &pool;
+            opt.arena         = &arena;
+            pe::run_chunked(opt, fn_4m, warm);
+            warm.finish();
+        }
+
+        const auto base        = max_count(pool, arena, 12, fn, make_sink);
+        const auto more_chunks = max_count(pool, arena, 48, fn, make_sink);
+        const auto more_edges  = max_count(pool, arena, 12, fn_4m, make_sink);
+        EXPECT_TRUE(counts_close(base, more_chunks))
+            << "G(n,m): allocations scale with chunks";
+        EXPECT_TRUE(counts_close(base, more_edges))
+            << "G(n,m): allocations scale with edges";
     }
-
-    const auto base        = max_count(pool, arena, 12, fn, make_sink);
-    const auto more_chunks = max_count(pool, arena, 48, fn, make_sink);
-    const auto more_edges  = max_count(pool, arena, 12, fn_4m, make_sink);
-    EXPECT_TRUE(counts_close(base, more_chunks))
-        << "G(n,m): allocations scale with chunks";
-    EXPECT_TRUE(counts_close(base, more_edges))
-        << "G(n,m): allocations scale with edges";
     std::remove(path.c_str());
+}
+
+TEST(AllocGate, SamplerV2MakesNoHeapAllocation) {
+    // The G(n,m) run above suppresses counting inside the generator; this
+    // gates the v2 sampler itself, unsuppressed: the halving recursion,
+    // the stack-resident leaves (sparse, with duplicate top-ups, and
+    // Method A) and universes past the 2^50 leaf cap.
+    KAGEN_ALLOC_GATE_SKIP();
+    struct Shape {
+        u64 universe, k;
+    };
+    const Shape shapes[] = {{u64{1} << 40, u64{1} << 16}, {14 * 4096, 4096},
+                            {100000, 40000}, {u64{1} << 60, 5000}};
+    u64 checksum = 0;
+    alloc_gate::g_count.store(0);
+    alloc_gate::g_armed.store(true);
+    for (const Shape& s : shapes) {
+        Rng rng(s.universe ^ s.k);
+        sorted_sample(rng, s.universe, s.k, [&](u64 x) { checksum += x; },
+                      SamplerVersion::v2);
+    }
+    alloc_gate::g_armed.store(false);
+    EXPECT_EQ(alloc_gate::g_count.load(), 0u);
+    EXPECT_NE(checksum, 0u);
 }
 
 TEST(AllocGate, RmatPipelineIndependentOfChunksAndEdges) {

@@ -3,14 +3,15 @@
 // (v1) output for a pinned (model, params, seed, rank, size) must never
 // move by a single byte, or silently re-generated datasets stop matching
 // published ones. These fixtures freeze small instances of the ER family,
-// one geometric model, the in-memory RHG and R-MAT; the byte-identity sweeps in
+// one geometric model, the in-memory RHG and R-MAT, plus one G(n,m) instance
+// under sampler v2, whose bytes are pinned too; the byte-identity sweeps in
 // test_er/test_dist cover self-consistency, this suite covers consistency
 // *across commits*.
 //
 // Fixture format: u64 edge count, then count x (u64 u, u64 v), little
 // endian, exactly as the edge list falls out of generate().
 //
-// Regeneration (only when intentionally changing the v1 stream, which is
+// Regeneration (only when intentionally changing a pinned stream, which is
 // an API break and needs calling out in DESIGN.md):
 //   KAGEN_GOLDEN_REGEN=1 ./build/test_golden
 #include <gtest/gtest.h>
@@ -38,6 +39,7 @@ struct GoldenCase {
     double avg_deg = 8.0; // rhg models
     double gamma   = 3.0; // rhg models
     EdgeSemantics semantics = EdgeSemantics::as_generated;
+    SamplerVersion sampler  = SamplerVersion::v1;
 };
 
 // Small on purpose: a few thousand edges pin the stream just as hard as a
@@ -62,6 +64,11 @@ const GoldenCase kCases[] = {
     // R-MAT's alias-table stream: log_n = 12 = 5 + 5 + 2, so this also pins
     // the partial last draw.
     {"rmat_n4096_m4096_s7_r1of2.bin", Model::Rmat, 4096, 4096, 0.0, 0.0, 7, 1, 2},
+    // Sampler v2 on the first instance: its bytes are ISA-independent
+    // (DESIGN.md §10), so they can be pinned like v1's. Chunk 0 draws 2062
+    // samples from 2^21 positions: one halving split, two spacings leaves.
+    {"gnm_directed_n2048_m4096_s7_r0of2_v2.bin", Model::GnmDirected, 2048, 4096,
+     0.0, 0.0, 7, 0, 2, 8.0, 3.0, EdgeSemantics::as_generated, SamplerVersion::v2},
 };
 
 std::string golden_path(const char* file) {
@@ -93,7 +100,7 @@ EdgeList generate_case(const GoldenCase& c) {
     cfg.avg_deg        = c.avg_deg;
     cfg.gamma          = c.gamma;
     cfg.edge_semantics = c.semantics;
-    // sampler_version stays at the default: golden files pin v1.
+    cfg.sampler_version = c.sampler;
     return generate(cfg, c.rank, c.size).edges;
 }
 
@@ -126,11 +133,11 @@ TEST_P(Golden, ByteIdentical) {
     std::fclose(f);
 
     ASSERT_EQ(bytes.size(), expect.size())
-        << c.file << ": edge count moved — the v1 stream changed";
+        << c.file << ": edge count moved — the pinned stream changed";
     for (std::size_t i = 0; i < bytes.size(); ++i) {
         ASSERT_EQ(bytes[i], expect[i])
             << c.file << ": first divergence at byte " << i
-            << " — the v1 stream is no longer bit-identical";
+            << " — the pinned stream is no longer bit-identical";
     }
 }
 

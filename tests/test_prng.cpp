@@ -112,5 +112,21 @@ TEST(Rng, RangeBoundOneAlwaysZero) {
     EXPECT_EQ(rng.range(1), 0u);
 }
 
+TEST(Rng, BoundedIsUnbiasedAndInRange) {
+    // Lemire's multiply-shift: the same chi-square gate as range(), plus
+    // the edges of the bound domain.
+    Rng rng(98);
+    constexpr u64 kBound   = 13;
+    constexpr u64 kSamples = 130000;
+    std::vector<double> observed(kBound, 0.0);
+    for (u64 i = 0; i < kSamples; ++i) observed[rng.bounded(kBound)] += 1.0;
+    const std::vector<double> expected(kBound, static_cast<double>(kSamples) / kBound);
+    EXPECT_LT(testing::chi_square(observed, expected),
+              testing::chi_square_critical(kBound - 1));
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.bounded(1), 0u);
+    const u64 huge = (u64{3} << 62) + 7; // rejection region is 2^62 - 7 wide
+    for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.bounded(huge), huge);
+}
+
 } // namespace
 } // namespace kagen

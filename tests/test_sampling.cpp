@@ -1,10 +1,12 @@
 // Sampling without replacement: Floyd, Vitter (A + D), and the distributed
 // divide-and-conquer chunk sampler (uniformity, determinism, PE-consistency).
 // The SamplerV2* and BernoulliSample suites are the acceptance gate of the
-// v2 engine (DESIGN.md §10): v2 makes no byte promise, so these pin its
-// *distribution* — exact first-skip law (chi-square + KS), uniform
-// inclusion, hypergeometric split consistency, and the geometric gap law
-// of the Bernoulli fast path.
+// v2 engine (DESIGN.md §10). Its bytes are pinned by one golden fixture;
+// these pin its *distribution* — exact first-position law (chi-square +
+// KS), uniform inclusion (sparse leaves, the duplicate top-up of dense
+// leaves, both sides of a split, low bits of huge universes),
+// hypergeometric split consistency, and the geometric gap law of the
+// Bernoulli fast path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -156,7 +158,7 @@ TEST(SamplerV2Stat, DeterministicGivenRngState) {
 }
 
 TEST(SamplerV2Stat, UniformInclusionSparse) {
-    // v2 Method D path: bucketed inclusion counts must be uniform — the
+    // v2 spacings leaves: bucketed inclusion counts must be uniform — the
     // same gate the v1 engine passes above.
     Rng rng(11);
     constexpr u64 kUniverse = 100000, kK = 500, kRuns = 800, kBuckets = 50;
@@ -177,12 +179,12 @@ double log_choose(double a, double b) {
     return std::lgamma(a + 1) - std::lgamma(b + 1) - std::lgamma(a - b + 1);
 }
 
-TEST(SamplerV2Stat, MethodDFirstSkipChiSquare) {
-    // The first Method-D skip has the exact law
-    //   P(skip = s) = C(n-1-s, k-1) / C(n, k),   s in [0, n-k],
-    // which exercises the whole v2 acceptance pipeline (proposal from the
-    // batched exponentials, quick-accept kernels, lgamma D4). Any bias in
-    // the fast-math contractions would surface here scaled by ~sqrt(runs).
+TEST(SamplerV2Stat, FirstPositionChiSquare) {
+    // The smallest sampled position has the exact law
+    //   P(min = s) = C(n-1-s, k-1) / C(n, k),   s in [0, n-k],
+    // which exercises one whole spacings leaf: the exponential fill, the
+    // prefix sums and the scaling to positions. Any bias in them would
+    // surface here scaled by ~sqrt(runs).
     constexpr u64 kN = 4096, kK = 8, kRuns = 60000;
     std::map<u64, u64> hist;
     for (u64 r = 0; r < kRuns; ++r) {
@@ -207,7 +209,7 @@ TEST(SamplerV2Stat, MethodDFirstSkipChiSquare) {
 }
 
 TEST(SamplerV2Stat, PositionsKSAgainstExactCdf) {
-    // Two KS gates on the Method-D regime:
+    // Two KS gates on the sparse-leaf regime:
     //  (a) the first-position CDF, P(min <= s) = 1 - C(n-1-s, k)/C(n, k),
     //      iid across runs — a sensitive tail test of the skip law;
     //  (b) all emitted positions pooled vs the uniform marginal (each
@@ -291,6 +293,136 @@ TEST(SamplerV2Stat, ChunkSplitIsHypergeometricUnderV2) {
     const double mean = sum / kRuns;
     const double tol  = 6 * std::sqrt(16.0 / kRuns);
     EXPECT_NEAR(mean, kM / 2.0, tol);
+}
+
+// Sorted, distinct, in range and exactly k long.
+::testing::AssertionResult valid_sample(const std::vector<u64>& s, u64 universe, u64 k) {
+    if (s.size() != k) {
+        return ::testing::AssertionFailure() << s.size() << " samples, want " << k;
+    }
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        if (s[i] >= universe) return ::testing::AssertionFailure() << s[i] << " out of range";
+        if (i > 0 && s[i - 1] >= s[i]) {
+            return ::testing::AssertionFailure() << "not increasing at " << i;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(SamplerV2Stat, DuplicateTopUpKeepsInclusionUniform) {
+    // u = 14k: one split into two leaves of u/k ~ 14, just above the
+    // Method A switch, where each leaf's k iid positions collide ~75 times
+    // and the top-up draws replace them. A leaf that rejected and redrew
+    // on any duplicate would accept with probability ~e^-73 and never
+    // finish. Gates: validity every run, uniform inclusion over 256
+    // buckets, and the adjacent-pair count k(k-1)/u of a uniform k-subset,
+    // which catches a top-up that keeps the right marginals but places
+    // the replacements wrongly.
+    constexpr u64 kK = 4096, kUniverse = 14 * kK, kRuns = 400, kBuckets = 256;
+    std::vector<double> hits(kBuckets, 0.0);
+    double pairs = 0.0;
+    for (u64 r = 0; r < kRuns; ++r) {
+        Rng rng(r * 7919 + 3);
+        std::vector<u64> out;
+        out.reserve(kK);
+        sorted_sample(rng, kUniverse, kK, [&](u64 x) { out.push_back(x); },
+                      SamplerVersion::v2);
+        ASSERT_TRUE(valid_sample(out, kUniverse, kK)) << "run " << r;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            hits[out[i] / (kUniverse / kBuckets)] += 1.0;
+            if (i > 0 && out[i] == out[i - 1] + 1) pairs += 1.0;
+        }
+    }
+    const std::vector<double> expected(kBuckets,
+                                       static_cast<double>(kRuns * kK) / kBuckets);
+    EXPECT_LT(testing::chi_square(hits, expected),
+              testing::chi_square_critical(kBuckets - 1));
+    // Each of the u-1 adjacent pairs is in the sample with probability
+    // k(k-1)/(u(u-1)); the count is a sum of weakly dependent indicators,
+    // so a Poisson sd bounds its spread.
+    const double want = kRuns * static_cast<double>(kK) * (kK - 1) / kUniverse;
+    EXPECT_NEAR(pairs, want, 6.0 * std::sqrt(want));
+}
+
+TEST(SamplerV2Stat, SpacingsLeafIsUniformOverAllSubsets) {
+    // Exactness of one leaf, top-up included, in the regime where nearly
+    // every leaf collides: spacings_leaf runs here far below its u >= 13k
+    // operating range, and every k-subset of [0, u) must come out equally
+    // often. Losing or misplacing values around a duplicate shows up as
+    // unequal subset frequencies even where per-position inclusion stays
+    // flat.
+    for (const auto [universe, k] : {std::pair<u64, u64>{8, 4}, {10, 3}}) {
+        std::map<u64, double> freq; // subset bitmask -> count
+        const u64 runs = 60000;
+        for (u64 r = 0; r < runs; ++r) {
+            Rng rng(r * 6364136223846793005ull + universe);
+            std::vector<u64> out;
+            auto emit = [&](u64 x) { out.push_back(x); };
+            detail::spacings_leaf(rng, universe, k, 0, emit);
+            ASSERT_TRUE(valid_sample(out, universe, k)) << "run " << r;
+            u64 mask = 0;
+            for (u64 x : out) mask |= u64{1} << x;
+            freq[mask] += 1.0;
+        }
+        const double subsets = std::exp(log_choose(universe, k));
+        ASSERT_EQ(freq.size(), static_cast<std::size_t>(std::llround(subsets)));
+        std::vector<double> observed;
+        for (const auto& [mask, count] : freq) observed.push_back(count);
+        const std::vector<double> expected(observed.size(), runs / subsets);
+        EXPECT_LT(testing::chi_square(observed, expected),
+                  testing::chi_square_critical(subsets - 1))
+            << "u=" << universe << " k=" << k;
+    }
+}
+
+TEST(SamplerV2Stat, HugeUniverseKeepsLowBits) {
+    // u = 2^60: the halving recursion must go on below the sample bound
+    // until leaves are at most 2^50 wide. A leaf of 2^55 would floor
+    // doubles whose ulp is 8, and x mod 64 would hit only multiples of 8.
+    constexpr u64 kUniverse = u64{1} << 60, kK = u64{1} << 16, kRuns = 4;
+    std::vector<double> hits(64, 0.0);
+    for (u64 r = 0; r < kRuns; ++r) {
+        Rng rng(r + 101);
+        std::vector<u64> out;
+        out.reserve(kK);
+        sorted_sample(rng, kUniverse, kK, [&](u64 x) { out.push_back(x); },
+                      SamplerVersion::v2);
+        ASSERT_TRUE(valid_sample(out, kUniverse, kK)) << "run " << r;
+        for (u64 x : out) hits[x % 64] += 1.0;
+    }
+    const std::vector<double> expected(64, static_cast<double>(kRuns * kK) / 64);
+    EXPECT_LT(testing::chi_square(hits, expected), testing::chi_square_critical(63));
+}
+
+TEST(SamplerV2Stat, InclusionUniformAcrossTheSplit) {
+    // k > 2048 forces a hypergeometric split at left = u/2 (u odd, so the
+    // halves differ by one). Per-position inclusion in a window straddling
+    // the split point must be flat, and the left half must receive
+    // k·left/u samples on average.
+    constexpr u64 kUniverse = 100001, kK = 5000, kRuns = 2000, kHalfWindow = 64;
+    constexpr u64 kLeft = kUniverse / 2;
+    std::vector<double> window(2 * kHalfWindow, 0.0);
+    double left_total = 0.0;
+    for (u64 r = 0; r < kRuns; ++r) {
+        Rng rng(r * 104729 + 11);
+        sorted_sample(rng, kUniverse, kK,
+                      [&](u64 x) {
+                          if (x < kLeft) left_total += 1.0;
+                          if (x + kHalfWindow >= kLeft && x < kLeft + kHalfWindow) {
+                              window[x + kHalfWindow - kLeft] += 1.0;
+                          }
+                      },
+                      SamplerVersion::v2);
+    }
+    const std::vector<double> expected(
+        2 * kHalfWindow, static_cast<double>(kRuns) * kK / kUniverse);
+    EXPECT_LT(testing::chi_square(window, expected),
+              testing::chi_square_critical(2 * kHalfWindow - 1));
+    // Hypergeometric(u, left, k) variance, summed over runs.
+    const double p    = static_cast<double>(kLeft) / kUniverse;
+    const double var  = kK * p * (1 - p) * (kUniverse - kK) / (kUniverse - 1.0);
+    const double mean = kRuns * kK * p;
+    EXPECT_NEAR(left_total, mean, 6.0 * std::sqrt(kRuns * var));
 }
 
 TEST(BernoulliSample, EdgeCases) {

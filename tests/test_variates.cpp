@@ -1,12 +1,13 @@
 // Statistical correctness of the non-uniform variate samplers: exact
 // chi-square tests against the true pmfs for both the inversion and the
-// rejection code paths, plus edge cases and determinism. The FastMath /
-// ExpFill / BatchedVariates suites pin the sampler-v2 kernel accuracy
-// contract (fast_math.hpp: every kernel within ~1e-9 of libm over its
-// stated domain) and the buffer/stream bookkeeping of the batched engine.
+// rejection code paths, plus edge cases and determinism. The ExpFill /
+// BatchedVariates suites pin the sampler-v2 exponential fill: accuracy
+// against libm, bitwise equality of its scalar and AVX-512 copies, and the
+// buffer/stream bookkeeping of the batched engine.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <numeric>
 
@@ -14,7 +15,6 @@
 #include "testing.hpp"
 #include "variates/batch.hpp"
 #include "variates/exp_fill.hpp"
-#include "variates/fast_math.hpp"
 #include "variates/variates.hpp"
 
 namespace kagen {
@@ -223,67 +223,16 @@ TEST(Multinomial, EmptyAndSingleBucket) {
     EXPECT_EQ(counts[0], 10u);
 }
 
-TEST(FastMath, LogMatchesLibmOverWideRange) {
-    // fast_log domain: finite normal positive; the sampler feeds it
-    // uniforms in [2^-53, 1], but the contract covers the wide range.
-    Rng rng(12);
-    double worst = 0.0;
-    for (int e = -1000; e <= 1000; e += 7) {
-        for (int i = 0; i < 64; ++i) {
-            const double x = std::ldexp(1.0 + rng.uniform(), e);
-            const double err = std::abs(fast_log(x) - std::log(x));
-            // Absolute error dominates near log(x) ~ 0; relative elsewhere.
-            const double scale = std::max(1.0, std::abs(std::log(x)));
-            worst = std::max(worst, err / scale);
-        }
-    }
-    EXPECT_LT(worst, 1e-10);
-}
-
-TEST(FastMath, ExpTiersMatchLibm) {
-    Rng rng(13);
-    double worst_full = 0.0, worst_small = 0.0, worst_tiny = 0.0;
-    for (int i = 0; i < 20000; ++i) {
-        const double xf = rng.uniform(-700.0, 700.0);
-        worst_full = std::max(worst_full,
-                              std::abs(fast_exp(xf) - std::exp(xf)) / std::exp(xf));
-        const double xs = rng.uniform(-kSmallExpRadius, kSmallExpRadius);
-        worst_small = std::max(
-            worst_small, std::abs(fast_exp_small(xs) - std::exp(xs)) / std::exp(xs));
-        const double xt = rng.uniform(-kTinyExpRadius, kTinyExpRadius);
-        worst_tiny = std::max(
-            worst_tiny, std::abs(fast_exp_tiny(xt) - std::exp(xt)) / std::exp(xt));
-        // The dispatcher must agree with whichever tier covers the input.
-        EXPECT_DOUBLE_EQ(fast_exp_auto(xt), fast_exp_tiny(xt));
-    }
-    EXPECT_LT(worst_full, 1e-9);  // degree-8 tail at |r| = ln2/2
-    EXPECT_LT(worst_small, 1e-11);
-    EXPECT_LT(worst_tiny, 1e-9); // quartic tail at the 0.01 radius
-}
-
-TEST(FastMath, NegLog1pMatchesLibm) {
-    Rng rng(14);
-    double worst = 0.0;
-    for (int i = 0; i < 20000; ++i) {
-        const double t = rng.uniform() * kNegLog1pMax;
-        const double exact = -std::log1p(-t);
-        const double err   = std::abs(neg_log1p(t) - exact);
-        worst = std::max(worst, err / std::max(exact, 1e-300));
-    }
-    EXPECT_LT(worst, 1e-10); // t^9 series tail at the 0.08 domain edge
-}
-
 TEST(ExpFill, MatchesNegLogOfSameDraws) {
     // fill_exponential must consume exactly n draws and produce -log of the
     // same uniforms a scalar replay would see — whichever ISA clone ran.
     constexpr std::size_t kN = 509; // deliberately not a multiple of 8
     Rng a(777), b(777);
-    std::vector<double> exps(kN), unis(kN);
+    std::vector<double> exps(kN);
     fill_exponential(a, exps.data(), kN);
-    b.fill_uniform_pos(unis.data(), kN);
     double worst = 0.0;
     for (std::size_t i = 0; i < kN; ++i) {
-        const double exact = -std::log(unis[i]);
+        const double exact = -std::log(b.uniform_pos());
         worst = std::max(worst, std::abs(exps[i] - exact) /
                                     std::max(std::abs(exact), 1e-12));
     }
@@ -308,14 +257,28 @@ TEST(ExpFill, VariatesAreExponential) {
               testing::ks_critical(kN));
 }
 
-TEST(BatchedVariates, UniformStreamMatchesScalarDraws) {
-    // The uniform buffer refills via fill_uniform_pos, which is
-    // sequence-identical to scalar uniform_pos calls.
-    Rng a(55), b(55);
-    BatchedVariates var(a);
-    for (int i = 0; i < 700; ++i) {
-        EXPECT_EQ(var.uniform_pos(), b.uniform_pos()) << "draw " << i;
+TEST(ExpFill, ScalarAndAvx512CopiesAreBitwiseEqual) {
+    // v2 bytes must not depend on the ISA: the AVX-512 copy, compiled with
+    // contraction off, must round every element exactly as the scalar
+    // copy does. Blocks of 19 cover the 8-wide body and the masked tail.
+#if KAGEN_EXP_FILL_AVX512
+    if (!__builtin_cpu_supports("avx512dq") || !__builtin_cpu_supports("avx512vl")) {
+        GTEST_SKIP() << "CPU lacks AVX-512 DQ/VL";
     }
+    constexpr std::size_t kBlocks = 1u << 17, kN = 19;
+    Rng bases(2024);
+    double scalar[kN], vector[kN];
+    std::size_t differing = 0;
+    for (std::size_t blk = 0; blk < kBlocks; ++blk) {
+        const u64 base = bases.bits();
+        expfill_detail::fill_scalar(base, scalar, kN);
+        expfill_detail::fill_avx512(base, vector, kN);
+        differing += std::memcmp(scalar, vector, sizeof scalar) != 0;
+    }
+    EXPECT_EQ(differing, 0u) << "of " << kBlocks << " blocks";
+#else
+    GTEST_SKIP() << "no AVX-512 copy on this target";
+#endif
 }
 
 TEST(BatchedVariates, ExponentialStreamIsDeterministic) {
