@@ -2,19 +2,20 @@
 /// \brief Shared helpers for the per-figure benchmark binaries.
 ///
 /// Conventions:
-///  * Scaling benchmarks use manual timing: one "iteration" runs all P
-///    simulated PEs concurrently on threads and records the makespan — the
+///  * Every generator row goes through the one entry point,
+///    kagen::generate. Scaling benchmarks use manual timing: one
+///    "iteration" is a `generate_chunked` run with one chunk per simulated
+///    PE, streamed into a counting sink, and records the makespan — the
 ///    quantity an MPI job reports as its running time.
 ///  * Each binary prints a header mapping it to the paper figure it
 ///    regenerates and the scale substitutions (see EXPERIMENTS.md for the
 ///    recorded outcomes).
-///  * Counters: "edges" = total edges the run produced across PEs (including
+///  * Counters: "edges" = total edges the run streamed across PEs (including
 ///    intentional cross-PE duplicates), "Medges/s" = edges / makespan.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -25,53 +26,42 @@
 
 namespace kagen::bench {
 
-/// Runs `fn` over P simulated PEs per iteration, reporting the makespan and
-/// edge-rate counters.
-inline void scaling_run(benchmark::State& state, u64 pes, const pe::RankFn& fn) {
-    // Untimed warmup: thread pool spin-up, page faults, and allocator arena
-    // growth otherwise dominate the first (often only) timed iteration.
-    pe::run_timed(pes, fn);
-
-    std::atomic<u64> edges{0};
-    auto counted = [&](u64 rank, u64 size) {
-        EdgeList e = fn(rank, size);
-        edges.fetch_add(e.size(), std::memory_order_relaxed);
-        return e;
+/// The scaling helper: per iteration, runs the graph `cfg` describes as one
+/// chunk per simulated PE (`pes` of them, cfg.chunks_per_pe = 1 unless the
+/// caller pins more) through `generate_chunked` into a CountingSink, and
+/// records the engine's makespan. Edges stream and are discarded; no
+/// EdgeList is built. A baseline row passes `baseline`: its chunks run that
+/// function on the same engine and pool instead of kagen::generate, so a
+/// baseline that materialises its per-PE EdgeList still pays for it.
+/// Returns the last iteration's makespan.
+inline double engine_scaling_run(benchmark::State& state, const Config& cfg, u64 pes,
+                                 const pe::ChunkFn& baseline = nullptr) {
+    const auto run = [&](EdgeSink& sink) {
+        if (!baseline) return generate_chunked(cfg, pes, sink);
+        pe::ChunkOptions opt;
+        opt.num_pes       = pes;
+        opt.chunks_per_pe = cfg.chunks_per_pe;
+        opt.total_chunks  = cfg.total_chunks;
+        return pe::run_chunked(opt, baseline, sink);
     };
-    u64 iterations = 0;
-    for (auto _ : state) {
-        state.SetIterationTime(pe::run_timed(pes, counted));
-        ++iterations;
-    }
-    const double per_iter =
-        static_cast<double>(edges.load()) / static_cast<double>(iterations);
-    state.counters["PEs"]   = static_cast<double>(pes);
-    state.counters["edges"] = per_iter;
-    state.counters["Medges/s"] =
-        benchmark::Counter(per_iter / 1e6, benchmark::Counter::kIsIterationInvariantRate);
-}
-
-/// Runs `cfg` through the chunked execution engine per iteration (counting
-/// sink: edges are produced and discarded in a stream, nothing is stored),
-/// reporting makespan-based counters. Returns the last iteration's makespan.
-inline double engine_scaling_run(benchmark::State& state, const Config& cfg, u64 pes) {
     {
         CountingSink warmup; // untimed: pool spin-up, page faults
-        generate_chunked(cfg, pes, warmup);
+        run(warmup);
     }
     double makespan = 0.0;
     u64 edges       = 0;
+    u64 chunks      = 0;
     for (auto _ : state) {
         CountingSink sink;
-        const ChunkStats stats = generate_chunked(cfg, pes, sink);
+        const ChunkStats stats = run(sink);
         sink.finish();
         makespan = stats.seconds;
         edges    = sink.num_edges();
+        chunks   = stats.num_chunks;
         state.SetIterationTime(stats.seconds);
     }
     state.counters["PEs"]    = static_cast<double>(pes);
-    state.counters["chunks"] = static_cast<double>(
-        cfg.total_chunks != 0 ? cfg.total_chunks : cfg.chunks_per_pe * pes);
+    state.counters["chunks"] = static_cast<double>(chunks);
     state.counters["edges"]  = static_cast<double>(edges);
     state.counters["Medges/s"] = benchmark::Counter(
         static_cast<double>(edges) / 1e6, benchmark::Counter::kIsIterationInvariantRate);

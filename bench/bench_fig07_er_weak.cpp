@@ -7,7 +7,6 @@
 // scaling); undirected rises by up to 2x at small P (redundant chunk
 // generation, bounded by 2m) and then flattens.
 #include "bench_common.hpp"
-#include "er/er.hpp"
 
 namespace {
 
@@ -18,9 +17,7 @@ void Weak_Directed(benchmark::State& state) {
     const u64 m_per_pe = u64{1} << state.range(1);
     const u64 m        = m_per_pe * pes;
     const u64 n        = m / 16;
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return er::gnm_directed(n, m, 1, rank, size);
-    });
+    bench::engine_scaling_run(state, {.model = Model::GnmDirected, .n = n, .m = m}, pes);
 }
 
 void Weak_Undirected(benchmark::State& state) {
@@ -28,9 +25,7 @@ void Weak_Undirected(benchmark::State& state) {
     const u64 m_per_pe = u64{1} << state.range(1);
     const u64 m        = m_per_pe * pes;
     const u64 n        = m / 16;
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return er::gnm_undirected(n, m, 1, rank, size);
-    });
+    bench::engine_scaling_run(state, {.model = Model::GnmUndirected, .n = n, .m = m}, pes);
 }
 
 void args(benchmark::internal::Benchmark* b) {

@@ -5,7 +5,6 @@
 // Expected shape: time ~ 1/P (directed); undirected carries the constant 2x
 // redundancy overhead but scales the same way.
 #include "bench_common.hpp"
-#include "er/er.hpp"
 
 namespace {
 
@@ -15,18 +14,14 @@ void Strong_Directed(benchmark::State& state) {
     const u64 pes = static_cast<u64>(state.range(0));
     const u64 m   = u64{1} << state.range(1);
     const u64 n   = m / 16;
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return er::gnm_directed(n, m, 1, rank, size);
-    });
+    bench::engine_scaling_run(state, {.model = Model::GnmDirected, .n = n, .m = m}, pes);
 }
 
 void Strong_Undirected(benchmark::State& state) {
     const u64 pes = static_cast<u64>(state.range(0));
     const u64 m   = u64{1} << state.range(1);
     const u64 n   = m / 16;
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return er::gnm_undirected(n, m, 1, rank, size);
-    });
+    bench::engine_scaling_run(state, {.model = Model::GnmUndirected, .n = n, .m = m}, pes);
 }
 
 void args(benchmark::internal::Benchmark* b) {

@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "bench_common.hpp"
-#include "rgg/rgg.hpp"
 
 namespace {
 
@@ -25,10 +24,9 @@ template <int D>
 void Weak_Rgg(benchmark::State& state) {
     const u64 pes = static_cast<u64>(state.range(0));
     const u64 n   = (u64{1} << state.range(1)) * pes;
-    const rgg::Params params{n, radius_for<D>(n, pes), 1};
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return rgg::generate<D>(params, rank, size);
-    });
+    const Model model = D == 2 ? Model::Rgg2D : Model::Rgg3D;
+    bench::engine_scaling_run(
+        state, {.model = model, .n = n, .r = radius_for<D>(n, pes)}, pes);
 }
 
 void args(benchmark::internal::Benchmark* b) {

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "bench_common.hpp"
-#include "rgg/rgg.hpp"
 
 namespace {
 
@@ -19,10 +18,8 @@ void Strong_Rgg(benchmark::State& state) {
     const double r =
         0.55 * std::pow(std::log(static_cast<double>(n)) / static_cast<double>(n),
                         1.0 / D);
-    const rgg::Params params{n, r, 1};
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return rgg::generate<D>(params, rank, size);
-    });
+    const Model model = D == 2 ? Model::Rgg2D : Model::Rgg3D;
+    bench::engine_scaling_run(state, {.model = model, .n = n, .r = r}, pes);
 }
 
 void args(benchmark::internal::Benchmark* b) {

@@ -6,7 +6,6 @@
 // Expected shape: a small rise at low P (the adjacent halo layer appears),
 // then near-constant time — the halo rarely grows beyond one layer.
 #include "bench_common.hpp"
-#include "rdg/rdg.hpp"
 
 namespace {
 
@@ -16,10 +15,8 @@ template <int D>
 void Weak_Rdg(benchmark::State& state) {
     const u64 pes = static_cast<u64>(state.range(0));
     const u64 n   = (u64{1} << state.range(1)) * pes;
-    const rdg::Params params{n, 1};
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return rdg::generate<D>(params, rank, size);
-    });
+    const Model model = D == 2 ? Model::Rdg2D : Model::Rdg3D;
+    bench::engine_scaling_run(state, {.model = model, .n = n}, pes);
 }
 
 void args2d(benchmark::internal::Benchmark* b) {

@@ -9,7 +9,6 @@
 // sRHG fastest; the gap widens with the edge count.
 #include "baselines/nkgen_like.hpp"
 #include "bench_common.hpp"
-#include "rhg/rhg.hpp"
 
 namespace {
 
@@ -17,34 +16,32 @@ using namespace kagen;
 
 constexpr u64 kPes = 8;
 
-hyp::Params params_for(const benchmark::State& state) {
-    hyp::Params p;
-    p.n       = u64{1} << state.range(0);
-    p.avg_deg = static_cast<double>(state.range(1));
-    p.gamma   = static_cast<double>(state.range(2)) / 10.0;
-    p.seed    = 1;
-    return p;
+Config config_for(const benchmark::State& state, Model model) {
+    return {.model   = model,
+            .n       = u64{1} << state.range(0),
+            .avg_deg = static_cast<double>(state.range(1)),
+            .gamma   = static_cast<double>(state.range(2)) / 10.0};
 }
 
+// The baseline has no Model: each PE builds its EdgeList as NkGen would and
+// hands it to the engine, so the row still pays for materialisation.
 void NkGenLike(benchmark::State& state) {
-    const auto params = params_for(state);
-    bench::scaling_run(state, kPes, [&](u64 rank, u64 size) {
-        return baselines::nkgen_like_generate(params, rank, size);
-    });
+    const Config cfg = config_for(state, Model::Rhg);
+    const hyp::Params params{cfg.n, cfg.avg_deg, cfg.gamma, cfg.seed};
+    bench::engine_scaling_run(state, cfg, kPes,
+                              [&](u64 rank, u64 size, EdgeSink& sink) {
+                                  const EdgeList edges =
+                                      baselines::nkgen_like_generate(params, rank, size);
+                                  sink.deliver(edges.data(), edges.size());
+                              });
 }
 
 void Rhg_InMemory(benchmark::State& state) {
-    const auto params = params_for(state);
-    bench::scaling_run(state, kPes, [&](u64 rank, u64 size) {
-        return rhg::generate_inmemory(params, rank, size);
-    });
+    bench::engine_scaling_run(state, config_for(state, Model::Rhg), kPes);
 }
 
 void Srhg_Streaming(benchmark::State& state) {
-    const auto params = params_for(state);
-    bench::scaling_run(state, kPes, [&](u64 rank, u64 size) {
-        return rhg::generate_streaming(params, rank, size);
-    });
+    bench::engine_scaling_run(state, config_for(state, Model::RhgStreaming), kPes);
 }
 
 void args(benchmark::internal::Benchmark* b) {

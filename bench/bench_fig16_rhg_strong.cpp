@@ -5,7 +5,6 @@
 // Expected shape: time ~ 1/P, with the streaming generator strictly below
 // the in-memory one.
 #include "bench_common.hpp"
-#include "rhg/rhg.hpp"
 
 namespace {
 
@@ -13,18 +12,20 @@ using namespace kagen;
 
 void Strong_Rhg_InMemory(benchmark::State& state) {
     const u64 pes = static_cast<u64>(state.range(0));
-    const hyp::Params params{u64{1} << state.range(1), 16.0, 3.0, 1};
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return rhg::generate_inmemory(params, rank, size);
-    });
+    const Config cfg{.model   = Model::Rhg,
+                     .n       = u64{1} << state.range(1),
+                     .avg_deg = 16.0,
+                     .gamma   = 3.0};
+    bench::engine_scaling_run(state, cfg, pes);
 }
 
 void Strong_Srhg_Streaming(benchmark::State& state) {
     const u64 pes = static_cast<u64>(state.range(0));
-    const hyp::Params params{u64{1} << state.range(1), 16.0, 3.0, 1};
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return rhg::generate_streaming(params, rank, size);
-    });
+    const Config cfg{.model   = Model::RhgStreaming,
+                     .n       = u64{1} << state.range(1),
+                     .avg_deg = 16.0,
+                     .gamma   = 3.0};
+    bench::engine_scaling_run(state, cfg, pes);
 }
 
 void args(benchmark::internal::Benchmark* b) {

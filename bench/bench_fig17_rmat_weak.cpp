@@ -6,7 +6,6 @@
 // needs log2(n) variates), and an absolute edge rate roughly an order of
 // magnitude below the ER/sRHG generators (compare Fig. 7/15 outputs).
 #include "bench_common.hpp"
-#include "rmat/rmat.hpp"
 
 namespace {
 
@@ -15,12 +14,8 @@ using namespace kagen;
 void Weak_Rmat(benchmark::State& state) {
     const u64 pes = static_cast<u64>(state.range(0));
     const u64 m   = (u64{1} << state.range(1)) * pes;
-    u64 log_n     = 0;
-    while ((u64{1} << log_n) < m / 16) ++log_n;
-    const rmat::Params params{log_n, m, 0.57, 0.19, 0.19, 1};
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return rmat::generate(params, rank, size);
-    });
+    // n = m/16, rounded up to a power of two by the model.
+    bench::engine_scaling_run(state, {.model = Model::Rmat, .n = m / 16, .m = m}, pes);
 }
 
 void args(benchmark::internal::Benchmark* b) {

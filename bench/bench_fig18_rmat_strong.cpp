@@ -4,7 +4,6 @@
 // Expected shape: time ~ 1/P (the generator is embarrassingly parallel too;
 // it is the constant factor that separates it from the paper's generators).
 #include "bench_common.hpp"
-#include "rmat/rmat.hpp"
 
 namespace {
 
@@ -13,12 +12,8 @@ using namespace kagen;
 void Strong_Rmat(benchmark::State& state) {
     const u64 pes = static_cast<u64>(state.range(0));
     const u64 m   = u64{1} << state.range(1);
-    u64 log_n     = 0;
-    while ((u64{1} << log_n) < m / 16) ++log_n;
-    const rmat::Params params{log_n, m, 0.57, 0.19, 0.19, 1};
-    bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return rmat::generate(params, rank, size);
-    });
+    // n = m/16, rounded up to a power of two by the model.
+    bench::engine_scaling_run(state, {.model = Model::Rmat, .n = m / 16, .m = m}, pes);
 }
 
 void args(benchmark::internal::Benchmark* b) {

@@ -10,6 +10,9 @@
 #   * a trailing flag with no value is an error (the old loop dropped it)
 #   * fractional ba attachment degrees are rejected, not truncated
 #   * contradictory mode combinations are rejected up front
+#   * well-formed values that describe no graph (m beyond the vertex pairs,
+#     p outside [0, 1], RHG gamma <= 2 or avg_deg <= 0) exit 1 with an
+#     "error:" line naming the field
 if(NOT DEFINED TOOL)
     message(FATAL_ERROR "pass -DTOOL=<path to example_kagen_tool>")
 endif()
@@ -78,6 +81,45 @@ if(NOT RC EQUAL 2)
 endif()
 math(EXPR NUM "${NUM} + 1")
 
+# Well-formed flags whose values describe no graph: the library refuses them
+# before any chunk or rank starts, so the tool exits 1 with an "error:" line
+# naming the field. These used to die on SIGFPE/SIGSEGV, hang, emit more
+# edges than exist, or run silently; the timeout turns a hang into a failure.
+set(INVALID_CASES
+    "error: kagen: gnm_directed: m = 5|gnm_directed -n 1 -m 5 -sink count"
+    "error: kagen: gnm_directed: m = 100|gnm_directed -n 4 -m 100 -sink count"
+    "error: kagen: gnm_undirected: m = 100|gnm_undirected -n 4 -m 100 -sink count"
+    "error: kagen: gnm_directed: m = 13|gnm_directed -n 4 -m 13 -sink count"
+    "error: kagen: gnm_directed: m = 13|gnm_directed -n 4 -m 13 -sink count -ranks 2"
+    "error: kagen: rhg: gamma = 2|rhg -g 2 -sink count"
+    "error: kagen: rhg: avg_deg = -3|rhg -d -3 -sink count"
+    "error: kagen: gnp_directed: p = 1.5|gnp_directed -p 1.5 -sink count"
+    "error: kagen: gnp_directed: p = -1|gnp_directed -p -1 -sink count"
+)
+foreach(case IN LISTS INVALID_CASES)
+    string(FIND "${case}" "|" SPLIT REVERSE)
+    string(SUBSTRING "${case}" 0 ${SPLIT} PATTERN)
+    math(EXPR ARGS_AT "${SPLIT} + 1")
+    string(SUBSTRING "${case}" ${ARGS_AT} -1 ARGS_STR)
+    string(REPLACE " " ";" ARGS "${ARGS_STR}")
+
+    execute_process(COMMAND ${TOOL} ${ARGS}
+                    OUTPUT_VARIABLE OUT
+                    ERROR_VARIABLE ERR
+                    RESULT_VARIABLE RC
+                    TIMEOUT 30)
+    if(NOT RC EQUAL 1)
+        message(FATAL_ERROR
+            "'${TOOL} ${ARGS_STR}' exited ${RC}, expected 1\nstderr: ${ERR}")
+    endif()
+    string(FIND "${ERR}" "${PATTERN}" AT)
+    if(AT EQUAL -1)
+        message(FATAL_ERROR
+            "'${TOOL} ${ARGS_STR}' stderr lacks '${PATTERN}'\nstderr: ${ERR}")
+    endif()
+    math(EXPR NUM "${NUM} + 1")
+endforeach()
+
 # Spot-check the flip side: values the hardening must NOT reject.
 execute_process(COMMAND ${TOOL} gnp_undirected -n 64 -p 0 -sink count
                 OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC)
@@ -93,5 +135,16 @@ execute_process(COMMAND ${TOOL} ba -n 64 -d 3 -sink count
 if(NOT RC EQUAL 0)
     message(FATAL_ERROR "integral -d 3 for ba must be accepted: ${ERR}")
 endif()
+# Degenerate but valid instances: no vertex pairs and no edges asked for,
+# every pair asked for, a zero radius.
+foreach(args "gnm_directed;-n;1;-m;0" "gnm_undirected;-n;0;-m;0"
+             "gnm_directed;-n;4;-m;12" "rgg2d;-n;100;-r;0")
+    execute_process(COMMAND ${TOOL} ${args} -sink count
+                    OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC
+                    TIMEOUT 30)
+    if(NOT RC EQUAL 0)
+        message(FATAL_ERROR "valid '${args}' must be accepted, got ${RC}: ${ERR}")
+    endif()
+endforeach()
 
-message(STATUS "tool rejects all ${NUM} malformed invocations with exit 2")
+message(STATUS "tool rejects all ${NUM} malformed or invalid invocations")

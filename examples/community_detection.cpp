@@ -12,9 +12,9 @@
 
 #include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
-#include "pe/pe.hpp"
 #include "prng/rng.hpp"
 #include "sbm/sbm.hpp"
+#include "sink/sinks.hpp"
 
 using namespace kagen;
 
@@ -99,10 +99,12 @@ int main(int argc, char** argv) {
     for (const double ratio : {0.01, 0.05, 0.1, 0.3, 0.6}) {
         const auto params =
             sbm::planted_partition(n, blocks, p_in, ratio * p_in, 31);
-        const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-            return sbm::generate(params, rank, size);
-        }, /*threaded=*/true);
-        const EdgeList edges = pe::union_undirected(per_pe);
+        // SBM has no Model, so its per-PE sink function runs directly; each
+        // PE's share is still a pure function of (params, rank, P).
+        MemorySink sink;
+        for (u64 rank = 0; rank < P; ++rank) sbm::generate(params, rank, P, sink);
+        sink.finish();
+        const EdgeList edges = undirected_set(sink.take());
         u64 intra            = 0;
         const u64 bs         = n / blocks;
         for (const auto& [u, v] : edges) intra += (u / bs == v / bs);

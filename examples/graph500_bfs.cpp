@@ -12,8 +12,8 @@
 
 #include "graph/csr.hpp"
 #include "kagen.hpp"
-#include "pe/pe.hpp"
 #include "prng/rng.hpp"
+#include "sink/sinks.hpp"
 
 using namespace kagen;
 
@@ -26,12 +26,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 void run_workload(const char* name, const Config& cfg, u64 pes) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto per_pe =
-        pe::run_all(pes, [&](u64 rank, u64 size) { return generate(cfg, rank, size).edges; },
-                    /*threaded=*/true);
+    MemorySink sink;
+    generate_chunked(cfg, pes, sink); // one chunk per PE, on the thread pool
+    sink.finish();
     const double gen_time = seconds_since(t0);
 
-    EdgeList edges = pe::union_undirected(per_pe);
+    EdgeList edges = undirected_set(sink.take());
     const u64 n    = generate(cfg, 0, 1).n;
     const Csr g    = build_csr(edges, n, /*symmetrize=*/true);
 

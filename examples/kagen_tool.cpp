@@ -81,9 +81,9 @@ void print_help(std::FILE* out, const char* argv0) {
         "  -d D        average degree (rhg*) / attachment degree (ba; integer)\n"
         "  -g G        power-law exponent gamma (rhg*)\n"
         "  -s S        seed (default 1)\n"
-        "  -sampler V  v1 (default; bit-pinned reference sampler) | v2\n"
-        "              (batched-variate throughput engine; same distribution,\n"
-        "              different byte stream; ER family)\n"
+        "  -sampler V  v1 (default; reference sampler) | v2 (ER family: halves\n"
+        "              chunks to cache-sized leaves drawn by exponential spacings;\n"
+        "              same distribution, different but ISA-independent bytes)\n"
         "\n"
         "Per-PE path (default; text output):\n"
         "  -rank R     generate only rank R (default 0)\n"

@@ -13,7 +13,7 @@
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
 #include "kagen.hpp"
-#include "pe/pe.hpp"
+#include "sink/sinks.hpp"
 
 using namespace kagen;
 
@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
     std::printf("Periodic Delaunay mesh: n = %llu vertices on %llu PEs\n",
                 static_cast<unsigned long long>(n),
                 static_cast<unsigned long long>(P));
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return generate(cfg, rank, size).edges;
-    }, /*threaded=*/true);
-    const EdgeList edges = pe::union_undirected(per_pe);
+    MemorySink sink;
+    generate_chunked(cfg, P, sink); // one chunk per PE, on the thread pool
+    sink.finish();
+    const EdgeList edges = undirected_set(sink.take());
 
     // Structural validation: a triangulated torus satisfies E = 3V exactly,
     // every vertex has degree >= 3, and the mesh is connected.

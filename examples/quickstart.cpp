@@ -50,9 +50,10 @@ int main(int argc, char** argv) {
         // Every PE generates its part independently — no communication; the
         // union below stands in for whatever the application would do with
         // the distributed edge lists.
-        const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-            return generate(cfg, rank, size).edges;
-        });
+        std::vector<EdgeList> per_pe;
+        for (u64 rank = 0; rank < P; ++rank) {
+            per_pe.push_back(generate(cfg, rank, P).edges);
+        }
         const EdgeList edges = pe::union_undirected(per_pe);
         const u64 nv         = num_vertices(cfg);
         const auto degs      = degrees(edges, nv);

@@ -11,7 +11,7 @@
 
 #include "graph/stats.hpp"
 #include "kagen.hpp"
-#include "pe/pe.hpp"
+#include "sink/sinks.hpp"
 
 using namespace kagen;
 
@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
         cfg.n     = n;
         cfg.r     = factor * r_star;
         cfg.seed  = 1234;
-        const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-            return generate(cfg, rank, size).edges;
-        }, /*threaded=*/true);
-        const EdgeList edges = pe::union_undirected(per_pe);
+        MemorySink sink;
+        generate_chunked(cfg, P, sink); // one chunk per PE, on the thread pool
+        sink.finish();
+        const EdgeList edges = undirected_set(sink.take());
         const auto degs      = degrees(edges, n);
         std::printf("%8.2f %12zu %10.2f %12llu %14llu %12.4f\n", factor,
                     edges.size(), average_degree(degs),

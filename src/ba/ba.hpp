@@ -30,11 +30,9 @@ struct Params {
     u64 seed   = 1;
 };
 
-/// Edges (v, target) for all vertices v owned by `rank` (block partition).
-/// The sink overload streams each attachment edge as its dependency chain
-/// resolves; the EdgeList overload is a MemorySink wrapper.
+/// Edges (v, target) for all vertices v owned by `rank` (block partition),
+/// each streamed as its dependency chain resolves.
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 /// Resolves the virtual edge-array entry at `position` (test hook).
 VertexId resolve(const Params& params, u64 position);

@@ -4,7 +4,6 @@
 
 #include "common/math.hpp"
 #include "sampling/sampling.hpp"
-#include "sink/sinks.hpp"
 #include "variates/variates.hpp"
 
 namespace kagen::er {
@@ -189,7 +188,7 @@ void descend_triangle(const UTri& ctx, u64 lo, u64 hi, u64 k) {
 
 void gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                   SamplerVersion version) {
-    assert(n >= 2 && size >= 1 && rank < size);
+    assert(size >= 1 && rank < size); // n, m, p: kagen::validate
     assert(static_cast<u128>(m) <= directed_universe(n));
     ChunkedSampler sampler(seed, make_row_universe(n, size, n - 1), m);
     const u64 row_begin = block_begin(n, size, rank);
@@ -200,48 +199,18 @@ void gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
     sink.flush();
 }
 
-EdgeList gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size,
-                      SamplerVersion version) {
-    MemorySink sink;
-    gnm_directed(n, m, seed, rank, size, sink, version);
-    return sink.take();
-}
-
 void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version) {
-    assert(n >= 2 && size >= 1 && rank < size);
+    assert(size >= 1 && rank < size); // n, m, p: kagen::validate
     assert(static_cast<u128>(m) <= undirected_universe(n));
     UTri ctx{Blocks{n, size}, seed, rank, &sink, version};
     descend_triangle(ctx, 0, size, m);
     sink.flush();
 }
 
-EdgeList gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size,
-                        SamplerVersion version) {
-    MemorySink sink;
-    gnm_undirected(n, m, seed, rank, size, sink, version);
-    return sink.take();
-}
-
-EdgeList gnm_undirected_chunk(u64 n, u64 m, u64 seed, u64 size, u64 i, u64 j,
-                              SamplerVersion version) {
-    assert(i >= j && i < size);
-    // Run the full recursion as PE i would, then keep only chunk (i, j)'s
-    // edges. (Cheap at test scale; exercises the identical code path.)
-    EdgeList all = gnm_undirected(n, m, seed, i, size, version);
-    const Blocks blocks{n, size};
-    EdgeList chunk;
-    for (const auto& [u, v] : all) {
-        const bool in_rows = u >= blocks.begin(i) && u < blocks.begin(i + 1);
-        const bool in_cols = v >= blocks.begin(j) && v < blocks.begin(j + 1);
-        if (in_rows && in_cols) chunk.push_back({u, v});
-    }
-    return chunk;
-}
-
 void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                   SamplerVersion version) {
-    assert(n >= 2 && size >= 1 && rank < size);
+    assert(size >= 1 && rank < size); // n, m, p: kagen::validate
     const u64 row_begin = block_begin(n, size, rank);
     const u128 universe = static_cast<u128>(block_size(n, size, rank)) * (n - 1);
     assert(universe <= static_cast<u128>(~u64{0}));
@@ -266,16 +235,9 @@ void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
     sink.flush();
 }
 
-EdgeList gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size,
-                      SamplerVersion version) {
-    MemorySink sink;
-    gnp_directed(n, p, seed, rank, size, sink, version);
-    return sink.take();
-}
-
 void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version) {
-    assert(n >= 2 && size >= 1 && rank < size);
+    assert(size >= 1 && rank < size); // n, m, p: kagen::validate
     const Blocks blocks{n, size};
     if (version == SamplerVersion::v2) {
         // Per-chunk geometric-skip Bernoulli streams. The chunk rng is
@@ -326,13 +288,6 @@ void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sin
                    SamplerVersion::v1);
     }
     sink.flush();
-}
-
-EdgeList gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size,
-                        SamplerVersion version) {
-    MemorySink sink;
-    gnp_undirected(n, p, seed, rank, size, sink, version);
-    return sink.take();
 }
 
 } // namespace kagen::er

@@ -39,43 +39,37 @@ inline u128 undirected_universe(u64 n) {
     return static_cast<u128>(n) * (n - 1) / 2;
 }
 
-/// All generators take a trailing `SamplerVersion` (sampling/sampling.hpp):
-/// v1 (default) keeps the bit-pinned reference stream; v2 swaps in the
-/// batched-variate engine per chunk. The chunk geometry, hypergeometric /
-/// binomial count layer, and both-owner stream identity are shared — v1 and
-/// v2 agree on *which chunks hold how many edges*, differing only in the
-/// within-chunk positions (and, for G(n,p) v2, counts and positions fuse
-/// into one geometric-skip Bernoulli stream per chunk).
+/// All generators stream into an `EdgeSink` (callers go through
+/// kagen::generate, which validates the parameters first) and take a
+/// trailing `SamplerVersion` (sampling/sampling.hpp). v1 (default) is the
+/// reference stream. v2 halves each chunk's universe by hypergeometric
+/// splits down to cache-sized leaves and draws every leaf by exponential
+/// spacings; its bytes are ISA-independent and pinned by a golden fixture
+/// like v1's. The chunk geometry, hypergeometric / binomial count layer,
+/// and both-owner stream identity are shared — v1 and v2 agree on *which
+/// chunks hold how many edges*, differing only in the within-chunk
+/// positions (and, for G(n,p) v2, counts and positions fuse into one
+/// geometric-skip Bernoulli stream per chunk).
 
 /// Directed G(n,m): edges of PE `rank` of `size`. Edges (u, v) with u local.
-/// The sink overload is the core; the EdgeList overload is a MemorySink
-/// wrapper kept for call-site convenience (bit-identical output).
 void gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                   SamplerVersion version = SamplerVersion::v1);
-EdgeList gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size,
-                      SamplerVersion version = SamplerVersion::v1);
 
 /// Undirected G(n,m): all edges incident to PE `rank`'s vertices; an edge
 /// {u, v} with owners a != b appears in both PEs' outputs (identically).
 /// Edges are emitted as (u, v) with u > v (lower triangle).
 void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version = SamplerVersion::v1);
-EdgeList gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size,
-                        SamplerVersion version = SamplerVersion::v1);
 
 /// Directed G(n,p) via per-chunk binomial counts (v1) or a geometric-skip
 /// Bernoulli stream over the row block (v2).
 void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                   SamplerVersion version = SamplerVersion::v1);
-EdgeList gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size,
-                      SamplerVersion version = SamplerVersion::v1);
 
 /// Undirected G(n,p) via per-chunk binomial counts (v1) or per-chunk
 /// geometric-skip Bernoulli streams (v2).
 void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version = SamplerVersion::v1);
-EdgeList gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size,
-                        SamplerVersion version = SamplerVersion::v1);
 
 /// Exact-once ownership (sink/ownership.hpp): the undirected generators
 /// partition vertex ids into consecutive blocks of ~n/size per chunk, and
@@ -85,11 +79,5 @@ EdgeList gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size,
 inline IdIntervals owned_vertex_range(u64 n, u64 rank, u64 size) {
     return {{block_begin(n, size, rank), block_begin(n, size, rank + 1)}};
 }
-
-/// Test hook: the edges of undirected chunk (i, j) alone (i >= j), exactly
-/// as either owner would generate them. Used to verify the redundancy
-/// invariant "PE i's copy of chunk (i,j) == PE j's copy".
-EdgeList gnm_undirected_chunk(u64 n, u64 m, u64 seed, u64 size, u64 i, u64 j,
-                              SamplerVersion version = SamplerVersion::v1);
 
 } // namespace kagen::er

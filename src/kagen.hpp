@@ -32,6 +32,7 @@
 /// er/, rgg/, rdg/, rhg/, ba/, rmat/ have algorithmic detail.
 #pragma once
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -128,12 +129,14 @@ struct Config {
     u64 num_processes = 1;
 
     /// Sequential sampling engine (sampling/sampling.hpp) used inside the
-    /// ER family's chunks. v1 (default) is the bit-pinned reference stream
-    /// every golden file and byte-identity sweep locks; v2 trades byte
-    /// identity for throughput — batched variates, inline polynomial
-    /// log/exp, and a geometric-skip Bernoulli fast path for Gnp — while
-    /// keeping the same output *distribution* (tool: -sampler). Both keep
-    /// the pure-function-of-(cfg, rank, size) contract, so chunked /
+    /// ER family's chunks (tool: -sampler). v1 (default) is the reference
+    /// stream most golden files and byte-identity sweeps lock. v2 is the
+    /// fast engine: it halves each chunk's universe by hypergeometric splits
+    /// down to cache-sized leaves and draws every leaf by exponential
+    /// spacings (G(n,p) uses a geometric-skip Bernoulli stream instead). It
+    /// samples the same distribution as v1 but a different stream, and its
+    /// bytes are ISA-independent and pinned by a golden fixture too. Both
+    /// keep the pure-function-of-(cfg, rank, size) contract, so chunked /
     /// distributed runs stay reproducible under either engine.
     SamplerVersion sampler_version = SamplerVersion::v1;
 
@@ -281,17 +284,70 @@ inline const char* model_name(Model model) {
     return "unknown";
 }
 
-/// Global vertex count of the graph `cfg` describes. Identical to the `n`
-/// field of every Result for the same config. For Rmat, n is rounded up to
-/// the next power of two — except n <= 1, which stays as-is (2^0 = 1 would
-/// otherwise turn an explicitly empty graph into a one-vertex one), and
-/// n > 2^63, which cannot be rounded within u64 and throws.
-inline u64 num_vertices(const Config& cfg) {
-    if (cfg.model != Model::Rmat || cfg.n <= 1) return cfg.n;
-    if (cfg.n > (u64{1} << 63)) {
-        throw std::invalid_argument(
-            "kagen: Rmat vertex count beyond 2^63 cannot be rounded to a power of two");
+/// Throws std::invalid_argument naming the offending field when `cfg`'s
+/// model parameters describe no graph: more G(n,m) edges than vertex pairs
+/// (counted in u128), a G(n,p) probability outside [0, 1], an RHG with
+/// gamma <= 2 or avg_deg <= 0 (hyp::Params' preconditions), or an R-MAT n
+/// beyond 2^63 (no power of two to round it up to). O(1); every
+/// entry point runs it before the first chunk or rank starts, because the
+/// generators' own asserts vanish in Release builds.
+inline void validate(const Config& cfg) {
+    const auto fail = [&](const std::string& what) {
+        throw std::invalid_argument(std::string("kagen: ") + model_name(cfg.model) +
+                                    ": " + what);
+    };
+    const auto num = [](double x) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%g", x);
+        return std::string(buf);
+    };
+    switch (cfg.model) {
+        case Model::GnmDirected:
+        case Model::GnmUndirected: {
+            const u128 pairs = cfg.model == Model::GnmDirected
+                                   ? er::directed_universe(cfg.n)
+                                   : er::undirected_universe(cfg.n);
+            if (cfg.m > pairs) {
+                fail("m = " + std::to_string(cfg.m) + " exceeds the " +
+                     std::to_string(static_cast<u64>(pairs)) +
+                     " vertex pairs of n = " + std::to_string(cfg.n));
+            }
+            break;
+        }
+        case Model::GnpDirected:
+        case Model::GnpUndirected:
+            if (!(cfg.p >= 0.0 && cfg.p <= 1.0)) {
+                fail("p = " + num(cfg.p) + " is not a probability in [0, 1]");
+            }
+            break;
+        case Model::Rhg:
+        case Model::RhgStreaming:
+            if (!(cfg.gamma > 2.0)) {
+                fail("gamma = " + num(cfg.gamma) + " must exceed 2");
+            }
+            if (!(cfg.avg_deg > 0.0)) {
+                fail("avg_deg = " + num(cfg.avg_deg) + " must be positive");
+            }
+            break;
+        case Model::Rmat:
+            if (cfg.n > (u64{1} << 63)) {
+                fail("n = " + std::to_string(cfg.n) +
+                     " beyond 2^63 cannot be rounded to a power of two");
+            }
+            break;
+        default:
+            break;
     }
+}
+
+/// Global vertex count of the graph `cfg` describes, after `validate`.
+/// Identical to the `n` field of every Result for the same config. For
+/// Rmat, n is rounded up to the next power of two — except n <= 1, which
+/// stays as-is (2^0 = 1 would otherwise turn an explicitly empty graph into
+/// a one-vertex one).
+inline u64 num_vertices(const Config& cfg) {
+    validate(cfg);
+    if (cfg.model != Model::Rmat || cfg.n <= 1) return cfg.n;
     return ceil_pow2(cfg.n);
 }
 
@@ -414,7 +470,7 @@ inline void dispatch_generate(const Config& cfg, u64 rank, u64 size, EdgeSink& s
             ba::generate({cfg.n, cfg.ba_degree, cfg.seed}, rank, size, sink);
             break;
         case Model::Rmat: {
-            const u64 nv = num_vertices(cfg); // throws for n > 2^63
+            const u64 nv = num_vertices(cfg);
             if (nv <= 1) break; // no non-trivial edges exist; see num_vertices
             const u64 log_n = floor_log2(nv);
             rmat::generate({log_n, cfg.m, cfg.rmat_a, cfg.rmat_b, cfg.rmat_c, cfg.seed},
@@ -437,6 +493,7 @@ inline void generate(const Config& cfg, u64 rank, u64 size, EdgeSink& sink) {
     if (size == 0 || rank >= size) {
         throw std::invalid_argument("kagen::generate: rank/size out of range");
     }
+    validate(cfg);
     if (cfg.edge_semantics == EdgeSemantics::exact_once &&
         carries_duplicates(cfg.model) && cfg.model != Model::Rhg) {
         OwnershipFilterSink filter(owned_vertex_intervals(cfg, rank, size), sink);
@@ -456,25 +513,8 @@ inline Result generate(const Config& cfg, u64 rank, u64 size) {
     return out;
 }
 
-struct ChunkStats {
-    u64 n          = 0;   ///< global vertex count
-    u64 num_chunks = 0;   ///< canonical chunks executed
-    u64 workers    = 0;   ///< parallel participants used
-    double seconds = 0.0; ///< makespan of the generation phase
-
-    // Ordered-delivery accounting (zero for unordered sinks and for
-    // single-worker runs, which stream directly — no chunk buffers).
-    u64 peak_buffered_bytes = 0; ///< max resident chunk-buffer bytes
-    u64 spilled_chunks      = 0; ///< chunks parked on disk
-    u64 spilled_bytes       = 0; ///< edge bytes written to the spill file
-
-    // Chunk-arena accounting (multi-worker ordered runs only). A "buffer"
-    // is a slab of the chunk arena (pe/arena.hpp).
-    u64 buffers_recycled  = 0; ///< slab acquires served from the freelist
-    u64 buffers_allocated = 0; ///< slabs freshly reserved (mmap/fallback)
-    u64 arena_chains      = 0; ///< chunks that chained a second+ slab
-    u64 arena_slab_bytes  = 0; ///< per-slab size the run used
-};
+/// Stats of a whole-graph chunked run: the engine's own per-run view.
+using ChunkStats = pe::ChunkRunStats;
 
 /// Whole-graph chunked engine: runs every canonical chunk (total_chunks,
 /// or chunks_per_pe·num_pes when unset) of the graph through the generator
@@ -499,8 +539,7 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
     if (cfg.chunks_per_pe == 0) {
         throw std::invalid_argument("kagen::generate_chunked: chunks_per_pe must be >= 1");
     }
-    ChunkStats out;
-    out.n = num_vertices(cfg); // validates the config before any chunk runs
+    validate(cfg); // before any chunk runs
 
     // Telemetry scope (DESIGN.md §13): arm the recorder and take a metrics
     // base before the run; drain + write after. The guard disarms on every
@@ -533,22 +572,12 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
     opt.arena_slab_bytes   = cfg.arena_slab_bytes;
     opt.pin_threads        = cfg.pin_threads;
     opt.deal_granularity   = chunk_deal_granularity(cfg);
-    const auto stats       = pe::run_chunked(
+    const ChunkStats stats = pe::run_chunked(
         opt,
         [&cfg](u64 chunk, u64 num_chunks, EdgeSink& chunk_sink) {
             generate(cfg, chunk, num_chunks, chunk_sink);
         },
         sink);
-    out.num_chunks          = stats.num_chunks;
-    out.workers             = stats.workers;
-    out.seconds             = stats.seconds;
-    out.peak_buffered_bytes = stats.peak_buffered_bytes;
-    out.spilled_chunks      = stats.spilled_chunks;
-    out.spilled_bytes       = stats.spilled_bytes;
-    out.buffers_recycled    = stats.buffers_recycled;
-    out.buffers_allocated   = stats.buffers_allocated;
-    out.arena_chains        = stats.arena_chains;
-    out.arena_slab_bytes    = stats.arena_slab_bytes;
 
     if (want_obs) {
         obs::TraceRecorder::global().enable(false);
@@ -566,7 +595,7 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
                 obs::Registry::global().snapshot().subtract(obs_base));
         }
     }
-    return out;
+    return stats;
 }
 
 /// Multi-process distributed run (dist/runner.hpp): forks

@@ -277,37 +277,6 @@ ThreadPool& ThreadPool::global() {
     return pool;
 }
 
-// ---------------------------------------------------------------------------
-// Classic per-rank harness (now running on the pool)
-// ---------------------------------------------------------------------------
-
-std::vector<EdgeList> run_all(u64 size, const RankFn& fn, bool threaded) {
-    std::vector<EdgeList> results(size);
-    if (!threaded || size <= 1) {
-        for (u64 rank = 0; rank < size; ++rank) results[rank] = fn(rank, size);
-        return results;
-    }
-    ThreadPool::global().parallel_for(
-        size, 0, [&](u64 rank) { results[rank] = fn(rank, size); });
-    return results;
-}
-
-double run_timed(u64 size, const RankFn& fn, u64 hardware_threads) {
-    if (hardware_threads == 0) hardware_threads = std::thread::hardware_concurrency();
-    // Oversubscription guard: if there are more ranks than cores, ranks are
-    // processed by the worker pool; the measured makespan then corresponds
-    // to the per-core aggregate — still the quantity weak/strong scaling
-    // plots care about, and documented in EXPERIMENTS.md.
-    const u64 workers = std::min<u64>(size, hardware_threads);
-    const u64 start   = obs::monotonic_now();
-    ThreadPool::global().parallel_for(size, workers, [&](u64 rank) {
-        EdgeList edges = fn(rank, size); // result dropped: timing only
-        // Keep the optimizer from deleting the generation.
-        asm volatile("" : : "r"(edges.data()) : "memory");
-    });
-    return static_cast<double>(obs::monotonic_now() - start) * 1e-9;
-}
-
 EdgeList union_undirected(const std::vector<EdgeList>& per_pe) {
     EdgeList all;
     for (const auto& part : per_pe) append(all, part);

@@ -1,22 +1,19 @@
 /// \file pe.hpp
-/// \brief Logical-PE simulation harness and chunked execution engine.
+/// \brief Chunked execution engine: the thread pool and `run_chunked` behind
+///        kagen::generate_chunked, plus the per-PE union oracles tests use.
 ///
 /// The paper's generators are communication-free: each MPI rank computes its
-/// part of the graph as a pure function of (rank, P, seed, parameters). This
-/// harness substitutes MPI with logical PEs executed on a persistent
-/// thread pool (or sequentially for deterministic debugging).
-/// DESIGN.md §1 documents why this preserves the paper's behaviour: the
-/// per-PE code path is identical, and the harness additionally lets tests
-/// check cross-PE invariants exactly.
-///
-/// Beyond the classic one-rank-per-thread model, `run_chunked` decouples the
-/// graph decomposition from the execution: the generator function is invoked
-/// once per *logical chunk* (same rank-splitting math as PEs — a chunk id
-/// simply plays the rank role), and K·P chunks are scheduled over the pool.
-/// Finer chunks mean better load balancing at identical output: chunk
-/// results are delivered to the sink in canonical chunk order, so the edge
-/// stream is bit-identical whether the run used 1 thread or 64, 1 chunk per
-/// PE or 16. DESIGN.md §5 has the full argument.
+/// part of the graph as a pure function of (rank, P, seed, parameters).
+/// There is one entry point for that function, `kagen::generate(cfg, rank,
+/// size[, sink])` (kagen.hpp); this engine is how a whole graph runs on one
+/// machine. `run_chunked` invokes a chunk function once per *logical chunk*
+/// (same rank-splitting math as PEs — a chunk id simply plays the rank role)
+/// and schedules K·P chunks over a persistent thread pool. Finer chunks
+/// mean better load balancing at identical output: chunk results are
+/// delivered to the sink in canonical chunk order, so the edge stream is
+/// bit-identical whether the run used 1 thread or 64, 1 chunk per PE or 16.
+/// DESIGN.md §1 argues why this preserves the paper's behaviour, §5 has the
+/// chunking argument.
 #pragma once
 
 #include <functional>
@@ -30,16 +27,6 @@
 namespace kagen::pe {
 
 class SlabArena; // pe/arena.hpp (slabs behind the ordered path's chunk buffers)
-
-/// Work a single PE performs: produce its local edge list.
-using RankFn = std::function<EdgeList(u64 rank, u64 size)>;
-
-/// Runs ranks 0..size-1 and returns each rank's edge list.
-std::vector<EdgeList> run_all(u64 size, const RankFn& fn, bool threaded = false);
-
-/// Wall-clock seconds for executing all ranks concurrently on the pool
-/// (the "makespan" — what an MPI job's slowest rank would take).
-double run_timed(u64 size, const RankFn& fn, u64 hardware_threads = 0);
 
 /// Deduplicated, canonicalized union of all per-PE undirected outputs.
 EdgeList union_undirected(const std::vector<EdgeList>& per_pe);

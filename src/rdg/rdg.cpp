@@ -7,7 +7,6 @@
 #include "common/math.hpp"
 #include "delaunay/delaunay.hpp"
 #include "rgg/rgg.hpp"
-#include "sink/sinks.hpp"
 
 namespace kagen::rdg {
 namespace {
@@ -268,13 +267,6 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
 }
 
 template <int D>
-EdgeList generate(const Params& params, u64 rank, u64 size) {
-    MemorySink sink;
-    generate<D>(params, rank, size, sink);
-    return sink.take();
-}
-
-template <int D>
 EdgeList reference(const Params& params, u64 size) {
     if (params.n == 0) return {};
     const PointGrid<D> grid = point_grid<D>(params, size);
@@ -334,8 +326,6 @@ template IdIntervals owned_vertex_range<2>(const Params&, u64, u64);
 template IdIntervals owned_vertex_range<3>(const Params&, u64, u64);
 template void generate<2>(const Params&, u64, u64, EdgeSink&);
 template void generate<3>(const Params&, u64, u64, EdgeSink&);
-template EdgeList generate<2>(const Params&, u64, u64);
-template EdgeList generate<3>(const Params&, u64, u64);
 template EdgeList reference<2>(const Params&, u64);
 template EdgeList reference<3>(const Params&, u64);
 

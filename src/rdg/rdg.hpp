@@ -48,13 +48,9 @@ IdIntervals owned_vertex_range(const Params& params, u64 rank, u64 size);
 
 /// Delaunay edges incident to PE `rank`'s vertices, canonical (min,max) ids,
 /// deduplicated within the PE. Cross-PE edges appear on both owners.
-/// The sink overload streams the (per-PE deduplicated) edges once the halo
-/// triangulation converges; the EdgeList overload wraps a MemorySink.
+/// Edges stream once the halo triangulation converges.
 template <int D>
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
-
-template <int D>
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 /// Sequential reference: triangulates all 3^D periodic copies and projects
 /// edges back to the quotient torus. Exact ground truth for tests.

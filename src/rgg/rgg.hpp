@@ -58,13 +58,9 @@ IdIntervals owned_vertex_range(const Params& params, u64 rank, u64 size);
 
 /// Edges of PE `rank`: all edges incident to vertices of its chunks.
 /// Canonical (min-id, max-id) orientation; each edge appears once per PE.
-/// The sink overload streams edges as the cell sweep finds them; the
-/// EdgeList overload is a MemorySink wrapper (bit-identical output).
+/// Edges stream as the cell sweep finds them.
 template <int D>
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
-
-template <int D>
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 /// Theta(n^2) reference over the same point set (tests, small benches).
 template <int D>

@@ -39,14 +39,11 @@ namespace kagen::rhg {
 ///  * `as_generated` — every edge incident to a local vertex (partitioned);
 ///  * `exact_once` — the edges whose lower endpoint is local, i.e. exactly
 ///    the `owned_vertex_intervals` share; the PEs' streams are disjoint.
-/// The EdgeList overload wraps a MemorySink around the as_generated stream.
 void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink,
                        EdgeSemantics semantics = EdgeSemantics::as_generated);
-EdgeList generate_inmemory(const hyp::Params& params, u64 rank, u64 size);
 
 /// Streaming request-centric generator (§7.2).
 void generate_streaming(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink);
-EdgeList generate_streaming(const hyp::Params& params, u64 rank, u64 size);
 
 /// Theta(n^2) all-pairs reference over the same point set.
 EdgeList brute_force(const hyp::Params& params, u64 size);

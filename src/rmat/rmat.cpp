@@ -8,7 +8,6 @@
 #include "common/math.hpp"
 #include "prng/rng.hpp"
 #include "prng/spooky.hpp"
-#include "sink/sinks.hpp"
 
 namespace kagen::rmat {
 namespace {
@@ -157,12 +156,6 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
     u64 state = stream_key(params) + lo * table.draws_per_edge() * Rng::kStateGamma;
     for (u64 i = lo; i < hi; ++i) sink.emit(table.edge(state));
     sink.flush();
-}
-
-EdgeList generate(const Params& params, u64 rank, u64 size) {
-    MemorySink sink;
-    generate(params, rank, size, sink);
-    return sink.take();
 }
 
 } // namespace kagen::rmat

@@ -31,12 +31,10 @@ struct Params {
     u64 seed  = 1;
 };
 
-/// The edges with indices in `rank`'s block of [0, m). The sink overload
-/// streams them in index order; the EdgeList overload wraps a MemorySink.
-/// Throws std::invalid_argument when a, b or c is negative or NaN, or when
-/// a + b + c > 1 (beyond 1e-12 of rounding).
+/// The edges with indices in `rank`'s block of [0, m), streamed in index
+/// order. Throws std::invalid_argument when a, b or c is negative or NaN, or
+/// when a + b + c > 1 (beyond 1e-12 of rounding).
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 /// Single edge by index (test hook; the generator is this, blocked).
 Edge edge_at(const Params& params, u64 index);

@@ -47,11 +47,9 @@ u64 num_vertices(const Params& params);
 /// (the planted-partition model).
 Params planted_partition(u64 n, u64 blocks, double p_in, double p_out, u64 seed);
 
-/// Edges incident to PE `rank`'s vertex range (block partition of [0, n)).
-/// The sink overload streams region by region; the EdgeList overload wraps
-/// a MemorySink (bit-identical output).
+/// Edges incident to PE `rank`'s vertex range (block partition of [0, n)),
+/// streamed region by region.
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 /// Exact-once ownership (sink/ownership.hpp): identical to
 /// `er::owned_vertex_range` — the SBM shares the undirected G(n,p) chunk

@@ -71,8 +71,8 @@ struct DegreeStatsSummary {
     friend bool operator==(const DegreeStatsSummary&, const DegreeStatsSummary&) = default;
 };
 
-/// Appends every edge to an EdgeList — the pre-sink behaviour. All legacy
-/// EdgeList-returning generator entry points are thin wrappers over this.
+/// Appends every edge to an EdgeList. The `Result` form of kagen::generate
+/// is a thin wrapper over this.
 class MemorySink final : public EdgeSink {
 public:
     /// Owns its edge list.

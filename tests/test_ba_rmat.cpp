@@ -9,24 +9,27 @@
 #include <set>
 #include <stdexcept>
 
-#include "ba/ba.hpp"
 #include "graph/stats.hpp"
-#include "pe/pe.hpp"
-#include "rmat/rmat.hpp"
+#include "kagen.hpp"
 #include "testing.hpp"
 
 namespace kagen {
 namespace {
+
+template <typename Params>
+EdgeList edges_of(const Params& params, u64 rank = 0, u64 size = 1) {
+    return generate(testing::to_config(params), rank, size).edges;
+}
 
 class BaPeCounts : public ::testing::TestWithParam<u64> {};
 
 TEST_P(BaPeCounts, OutputIndependentOfPeCount) {
     const u64 P = GetParam();
     const ba::Params params{500, 3, 7};
-    const EdgeList sequential = ba::generate(params, 0, 1);
+    const EdgeList sequential = edges_of(params);
     EdgeList combined;
     for (u64 rank = 0; rank < P; ++rank) {
-        append(combined, ba::generate(params, rank, P));
+        append(combined, edges_of(params, rank, P));
     }
     EXPECT_EQ(combined, sequential) << "BA must be invariant under P";
 }
@@ -35,7 +38,7 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, BaPeCounts, ::testing::Values(2, 3, 8, 16));
 
 TEST(Ba, ExactEdgeCountAndSources) {
     const ba::Params params{1000, 5, 3};
-    const auto edges = ba::generate(params, 0, 1);
+    const auto edges = edges_of(params);
     ASSERT_EQ(edges.size(), params.n * params.degree);
     for (u64 v = 0; v < params.n; ++v) {
         for (u64 i = 0; i < params.degree; ++i) {
@@ -48,7 +51,7 @@ TEST(Ba, TargetsAreEarlierOrEqualVertices) {
     // Edge i of vertex v resolves through positions < 2(vd+i)+1, so the
     // target can never exceed v.
     const ba::Params params{2000, 4, 11};
-    for (const auto& [v, target] : ba::generate(params, 0, 1)) {
+    for (const auto& [v, target] : edges_of(params)) {
         EXPECT_LE(target, v);
     }
 }
@@ -66,7 +69,7 @@ TEST(Ba, DegreeDistributionIsHeavyTailed) {
     // BB preferential attachment yields gamma ~ 3; at minimum the max
     // degree must far exceed the average and early vertices must dominate.
     const ba::Params params{50000, 4, 17};
-    const auto edges = ba::generate(params, 0, 1);
+    const auto edges = edges_of(params);
     std::vector<u64> degs(params.n, 0);
     for (const auto& [u, v] : edges) {
         ++degs[u];
@@ -91,10 +94,10 @@ class RmatPeCounts : public ::testing::TestWithParam<u64> {};
 TEST_P(RmatPeCounts, OutputIndependentOfPeCount) {
     const u64 P = GetParam();
     const rmat::Params params{10, 4000, 0.57, 0.19, 0.19, 5};
-    const EdgeList sequential = rmat::generate(params, 0, 1);
+    const EdgeList sequential = edges_of(params);
     EdgeList combined;
     for (u64 rank = 0; rank < P; ++rank) {
-        append(combined, rmat::generate(params, rank, P));
+        append(combined, edges_of(params, rank, P));
     }
     EXPECT_EQ(combined, sequential);
 }
@@ -103,7 +106,7 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, RmatPeCounts, ::testing::Values(2, 5, 8, 32))
 
 TEST(Rmat, EdgesWithinVertexRange) {
     const rmat::Params params{8, 10000, 0.57, 0.19, 0.19, 9};
-    for (const auto& [u, v] : rmat::generate(params, 0, 1)) {
+    for (const auto& [u, v] : edges_of(params)) {
         EXPECT_LT(u, u64{1} << params.log_n);
         EXPECT_LT(v, u64{1} << params.log_n);
     }
@@ -115,7 +118,7 @@ TEST(Rmat, TopLevelQuadrantProportions) {
     const rmat::Params params{12, 200000, 0.5, 0.2, 0.2, 21};
     const u64 half = u64{1} << (params.log_n - 1);
     std::vector<double> counts(4, 0.0);
-    for (const auto& [u, v] : rmat::generate(params, 0, 1)) {
+    for (const auto& [u, v] : edges_of(params)) {
         const int q = (u >= half ? 2 : 0) + (v >= half ? 1 : 0);
         counts[q] += 1.0;
     }
@@ -126,7 +129,7 @@ TEST(Rmat, TopLevelQuadrantProportions) {
 
 TEST(Rmat, SkewedParametersProduceSkewedDegrees) {
     const rmat::Params params{14, 1u << 18, 0.57, 0.19, 0.19, 33};
-    const auto edges = rmat::generate(params, 0, 1);
+    const auto edges = edges_of(params);
     const auto degs  = out_degrees(edges, u64{1} << params.log_n);
     const double avg = average_degree(degs);
     EXPECT_GT(max_degree(degs), static_cast<u64>(30 * avg))
@@ -136,7 +139,7 @@ TEST(Rmat, SkewedParametersProduceSkewedDegrees) {
 TEST(Rmat, UniformParametersApproximateEr) {
     // a = b = c = d = 0.25 degenerates R-MAT to uniform edge sampling.
     const rmat::Params params{10, 100000, 0.25, 0.25, 0.25, 41};
-    const auto edges = rmat::generate(params, 0, 1);
+    const auto edges = edges_of(params);
     const u64 n      = u64{1} << params.log_n;
     std::vector<double> row_counts(16, 0.0);
     for (const auto& e : edges) row_counts[e.first / (n / 16)] += 1.0;
@@ -147,7 +150,7 @@ TEST(Rmat, UniformParametersApproximateEr) {
 
 TEST(Rmat, EdgeAtMatchesGenerate) {
     const rmat::Params params{9, 500, 0.57, 0.19, 0.19, 55};
-    const auto edges = rmat::generate(params, 0, 1);
+    const auto edges = edges_of(params);
     for (u64 i = 0; i < params.m; i += 37) {
         EXPECT_EQ(edges[i], rmat::edge_at(params, i));
     }
@@ -172,7 +175,7 @@ TEST_P(RmatLevels, QuadrantFrequenciesMatchParametersAtEveryLevel) {
 
     std::vector<std::vector<double>> single(log_n, std::vector<double>(4, 0.0));
     std::vector<std::vector<double>> pairs(log_n * log_n, std::vector<double>(16, 0.0));
-    for (const Edge& e : rmat::generate(params, 0, 1)) {
+    for (const Edge& e : edges_of(params)) {
         for (u64 i = 0; i < log_n; ++i) {
             single[i][quadrant(e, i)] += 1.0;
             for (u64 j = i + 1; j < log_n; ++j) {
@@ -203,14 +206,14 @@ INSTANTIATE_TEST_SUITE_P(LogN, RmatLevels, ::testing::Values(1, 3, 5, 12));
 TEST(Rmat, ZeroDProbabilityNeverPicksQuadrantD) {
     // a + b + c = 1: no level may set both the row and the column bit.
     const rmat::Params params{12, 50000, 0.5, 0.3, 0.2, 71};
-    for (const auto& [u, v] : rmat::generate(params, 0, 1)) {
+    for (const auto& [u, v] : edges_of(params)) {
         ASSERT_EQ(u & v, 0u) << "quadrant d at some level of (" << u << ", " << v << ")";
     }
 }
 
 TEST(Rmat, CertainQuadrantAPutsEveryEdgeAtOrigin) {
     const rmat::Params params{13, 20000, 1.0, 0.0, 0.0, 73};
-    for (const Edge& e : rmat::generate(params, 0, 1)) ASSERT_EQ(e, (Edge{0, 0}));
+    for (const Edge& e : edges_of(params)) ASSERT_EQ(e, (Edge{0, 0}));
 }
 
 TEST(Rmat, RejectsInvalidQuadrantProbabilities) {
@@ -221,12 +224,12 @@ TEST(Rmat, RejectsInvalidQuadrantProbabilities) {
         {10, 100, 0.6, 0.3, 0.2, 1},    {10, 100, 0.5, 0.3, 0.2 + 1e-9, 1},
     };
     for (const rmat::Params& params : bad) {
-        EXPECT_THROW(rmat::generate(params, 0, 1), std::invalid_argument)
+        EXPECT_THROW(edges_of(params), std::invalid_argument)
             << params.a << " " << params.b << " " << params.c;
         EXPECT_THROW(rmat::edge_at(params, 0), std::invalid_argument);
     }
     // A sum over 1 by rounding only (within 1e-12) is accepted.
-    EXPECT_EQ(rmat::generate({10, 100, 0.5, 0.3, 0.2 + 1e-13, 1}, 0, 1).size(), 100u);
+    EXPECT_EQ(edges_of(rmat::Params{10, 100, 0.5, 0.3, 0.2 + 1e-13, 1}).size(), 100u);
 }
 
 } // namespace

@@ -107,9 +107,10 @@ TEST(HoltgreweRgg, CommunicationGrowsWithPeCount) {
 TEST(NkGenLike, MatchesBruteForceAndInMemory) {
     const hyp::Params params{800, 12, 2.7, 9};
     for (u64 P : {u64{1}, u64{4}}) {
-        const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-            return baselines::nkgen_like_generate(params, rank, size);
-        });
+        std::vector<EdgeList> per_pe;
+        for (u64 rank = 0; rank < P; ++rank) {
+            per_pe.push_back(baselines::nkgen_like_generate(params, rank, P));
+        }
         EXPECT_EQ(pe::union_undirected(per_pe), rhg::brute_force(params, P));
     }
 }

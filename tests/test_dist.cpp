@@ -24,6 +24,7 @@
 #include "net/coordinator.hpp"
 #include "net/worker.hpp"
 #include "sink/spill.hpp"
+#include "testing.hpp"
 
 namespace kagen {
 namespace {
@@ -203,12 +204,10 @@ TEST(Dist, ExactOnceMergedCountMatchesUnion) {
     cfg.chunks_per_pe  = 2;
     cfg.edge_semantics = EdgeSemantics::exact_once;
     const u64 C        = 2 * 4;
-    const auto per_chunk =
-        pe::run_all(C, [&](u64 rank, u64 size) { return generate(cfg, rank, size).edges; });
+    const auto per_chunk  = testing::per_pe(cfg, C);
     Config as_gen         = cfg;
     as_gen.edge_semantics = EdgeSemantics::as_generated;
-    const auto legacy =
-        pe::run_all(C, [&](u64 rank, u64 size) { return generate(as_gen, rank, size).edges; });
+    const auto legacy     = testing::per_pe(as_gen, C);
     const u64 canonical = pe::union_undirected(legacy).size();
 
     dist::DistOptions opts;
@@ -229,8 +228,7 @@ TEST(Dist, DedupPassMatchesUnionUndirected) {
     Config cfg        = model_config(Model::GnmUndirected);
     cfg.chunks_per_pe = 2;
     const u64 C       = 2 * 3;
-    const auto per_chunk =
-        pe::run_all(C, [&](u64 rank, u64 size) { return generate(cfg, rank, size).edges; });
+    const auto per_chunk    = testing::per_pe(cfg, C);
     const EdgeList expected = pe::union_undirected(per_chunk);
 
     dist::DistOptions opts;

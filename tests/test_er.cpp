@@ -6,22 +6,41 @@
 #include <set>
 
 #include "common/math.hpp"
-#include "er/er.hpp"
 #include "graph/stats.hpp"
-#include "pe/pe.hpp"
+#include "kagen.hpp"
 #include "testing.hpp"
 
 namespace kagen {
 namespace {
+
+Config gnm(Model model, u64 n, u64 m, u64 seed) {
+    Config cfg;
+    cfg.model = model;
+    cfg.n     = n;
+    cfg.m     = m;
+    cfg.seed  = seed;
+    return cfg;
+}
+
+Config gnp(Model model, u64 n, double p, u64 seed) {
+    Config cfg;
+    cfg.model = model;
+    cfg.n     = n;
+    cfg.p     = p;
+    cfg.seed  = seed;
+    return cfg;
+}
+
+EdgeList edges_of(const Config& cfg, u64 rank = 0, u64 size = 1) {
+    return generate(cfg, rank, size).edges;
+}
 
 class GnmDirected : public ::testing::TestWithParam<u64> {};
 
 TEST_P(GnmDirected, ExactCountNoLoopsDisjointChunks) {
     const u64 P = GetParam();
     constexpr u64 n = 200, m = 3000;
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return er::gnm_directed(n, m, /*seed=*/7, rank, size);
-    });
+    const auto per_pe = testing::per_pe(gnm(Model::GnmDirected, n, m, /*seed=*/7), P);
     u64 total = 0;
     std::set<Edge> all;
     for (u64 rank = 0; rank < P; ++rank) {
@@ -48,7 +67,7 @@ TEST(GnmDirectedStat, UniformOverPairUniverse) {
     constexpr u64 n = 20, m = 40, kRuns = 20000;
     std::map<Edge, double> hits;
     for (u64 seed = 0; seed < kRuns; ++seed) {
-        for (const auto& e : er::gnm_directed(n, m, seed, 0, 1)) hits[e] += 1.0;
+        for (const auto& e : edges_of(gnm(Model::GnmDirected, n, m, seed))) hits[e] += 1.0;
     }
     std::vector<double> observed;
     for (u64 u = 0; u < n; ++u) {
@@ -64,8 +83,9 @@ TEST(GnmDirectedStat, UniformOverPairUniverse) {
 }
 
 TEST(GnmDirected, DeterministicPerRank) {
-    const auto a = er::gnm_directed(500, 2000, 3, 2, 4);
-    const auto b = er::gnm_directed(500, 2000, 3, 2, 4);
+    const Config cfg = gnm(Model::GnmDirected, 500, 2000, 3);
+    const auto a     = edges_of(cfg, 2, 4);
+    const auto b     = edges_of(cfg, 2, 4);
     EXPECT_EQ(a, b);
 }
 
@@ -73,7 +93,7 @@ TEST(GnmDirected, FullUniverse) {
     // m = n(n-1): every ordered pair exactly once.
     constexpr u64 n = 40;
     const u64 m     = n * (n - 1);
-    const auto edges = er::gnm_directed(n, m, 1, 0, 1);
+    const auto edges = edges_of(gnm(Model::GnmDirected, n, m, 1));
     std::set<Edge> set(edges.begin(), edges.end());
     EXPECT_EQ(set.size(), m);
 }
@@ -83,9 +103,7 @@ class GnmUndirected : public ::testing::TestWithParam<u64> {};
 TEST_P(GnmUndirected, UnionHasExactlyMEdges) {
     const u64 P = GetParam();
     constexpr u64 n = 150, m = 2000;
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return er::gnm_undirected(n, m, 11, rank, size);
-    });
+    const auto per_pe = testing::per_pe(gnm(Model::GnmUndirected, n, m, 11), P);
     const auto uni = pe::union_undirected(per_pe);
     EXPECT_EQ(uni.size(), m);
     EXPECT_FALSE(has_self_loop(uni));
@@ -101,9 +119,7 @@ TEST_P(GnmUndirected, EveryEdgeOnBothOwners) {
     const u64 P = GetParam();
     if (P == 1) GTEST_SKIP() << "redundancy only exists for P > 1";
     constexpr u64 n = 120, m = 1500;
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return er::gnm_undirected(n, m, 13, rank, size);
-    });
+    const auto per_pe = testing::per_pe(gnm(Model::GnmUndirected, n, m, 13), P);
     std::vector<std::set<Edge>> sets(P);
     for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
     for (u64 r = 0; r < P; ++r) {
@@ -116,30 +132,35 @@ TEST_P(GnmUndirected, EveryEdgeOnBothOwners) {
     }
 }
 
+// The edges of undirected chunk (i, j), i >= j — rows of block i, columns
+// of block j — within one PE's output, sorted.
+EdgeList chunk_edges(const EdgeList& pe_edges, u64 n, u64 P, u64 i, u64 j) {
+    EdgeList chunk;
+    for (const auto& [u, v] : pe_edges) {
+        if (block_owner(n, P, u) == i && block_owner(n, P, v) == j) {
+            chunk.push_back({u, v});
+        }
+    }
+    sort_unique(chunk);
+    return chunk;
+}
+
 TEST(GnmUndirected, ChunkIdenticalFromBothOwners) {
     constexpr u64 n = 100, m = 1200, P = 5;
+    const auto per_pe = testing::per_pe(gnm(Model::GnmUndirected, n, m, 17), P);
     for (u64 i = 0; i < P; ++i) {
         for (u64 j = 0; j <= i; ++j) {
             // Extract chunk (i, j) from PE i's run and PE j's run; the
             // pseudorandom recomputation must give identical edges.
-            const auto from_i = er::gnm_undirected_chunk(n, m, 17, P, i, j);
-            EdgeList from_j_all = er::gnm_undirected(n, m, 17, j, P);
-            EdgeList from_j;
-            for (const auto& [u, v] : from_j_all) {
-                if (block_owner(n, P, u) == i && block_owner(n, P, v) == j) {
-                    from_j.push_back({u, v});
-                }
-            }
-            sort_unique(from_j);
-            EdgeList lhs = from_i;
-            sort_unique(lhs);
-            EXPECT_EQ(lhs, from_j) << "chunk (" << i << "," << j << ")";
+            EXPECT_EQ(chunk_edges(per_pe[i], n, P, i, j),
+                      chunk_edges(per_pe[j], n, P, i, j))
+                << "chunk (" << i << "," << j << ")";
         }
     }
 }
 
 TEST(GnmUndirected, LowerTriangleConvention) {
-    const auto edges = er::gnm_undirected(300, 4000, 23, 0, 1);
+    const auto edges = edges_of(gnm(Model::GnmUndirected, 300, 4000, 23));
     for (const auto& [u, v] : edges) EXPECT_GT(u, v);
 }
 
@@ -147,9 +168,7 @@ TEST(GnmUndirectedStat, UniformOverPairUniverse) {
     constexpr u64 n = 20, m = 30, kRuns = 20000, P = 3;
     std::map<Edge, double> hits;
     for (u64 seed = 0; seed < kRuns; ++seed) {
-        const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-            return er::gnm_undirected(n, m, seed, rank, size);
-        });
+        const auto per_pe = testing::per_pe(gnm(Model::GnmUndirected, n, m, seed), P);
         for (const auto& e : pe::union_undirected(per_pe)) hits[e] += 1.0;
     }
     std::vector<double> observed;
@@ -165,9 +184,7 @@ TEST(GnmUndirectedStat, UniformOverPairUniverse) {
 TEST(GnmUndirected, SaturatedGraphIsComplete) {
     constexpr u64 n = 30;
     const u64 m = static_cast<u64>(er::undirected_universe(n));
-    const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return er::gnm_undirected(n, m, 1, rank, size);
-    });
+    const auto per_pe = testing::per_pe(gnm(Model::GnmUndirected, n, m, 1), 4);
     EXPECT_EQ(pe::union_undirected(per_pe).size(), m);
 }
 
@@ -180,15 +197,11 @@ TEST_P(GnpBothKinds, EdgeCountConcentratesAroundMean) {
     double dir_sum = 0.0, undir_sum = 0.0;
     constexpr u64 kRuns = 60;
     for (u64 seed = 0; seed < kRuns; ++seed) {
-        const auto dir = pe::run_all(P, [&](u64 rank, u64 size) {
-            return er::gnp_directed(n, p, seed, rank, size);
-        });
+        const auto dir = testing::per_pe(gnp(Model::GnpDirected, n, p, seed), P);
         u64 dir_edges = 0;
         for (const auto& part : dir) dir_edges += part.size();
         dir_sum += static_cast<double>(dir_edges);
-        const auto undir = pe::run_all(P, [&](u64 rank, u64 size) {
-            return er::gnp_undirected(n, p, seed, rank, size);
-        });
+        const auto undir = testing::per_pe(gnp(Model::GnpUndirected, n, p, seed), P);
         undir_sum += static_cast<double>(pe::union_undirected(undir).size());
     }
     const double dir_mean    = dir_sum / kRuns;
@@ -203,9 +216,7 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, GnpBothKinds, ::testing::Values(1, 4, 7));
 
 TEST(GnpUndirected, RedundancyAcrossOwners) {
     constexpr u64 n = 90, P = 6;
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return er::gnp_undirected(n, 0.1, 99, rank, size);
-    });
+    const auto per_pe = testing::per_pe(gnp(Model::GnpUndirected, n, 0.1, 99), P);
     std::vector<std::set<Edge>> sets(P);
     for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
     for (u64 r = 0; r < P; ++r) {
@@ -217,7 +228,7 @@ TEST(GnpUndirected, RedundancyAcrossOwners) {
 }
 
 TEST(GnpDirected, NoSelfLoopsNoDuplicates) {
-    const auto edges = er::gnp_directed(1000, 0.01, 5, 0, 1);
+    const auto edges = edges_of(gnp(Model::GnpDirected, 1000, 0.01, 5));
     EXPECT_FALSE(has_self_loop(edges));
     std::set<Edge> set(edges.begin(), edges.end());
     EXPECT_EQ(set.size(), edges.size());
@@ -226,7 +237,7 @@ TEST(GnpDirected, NoSelfLoopsNoDuplicates) {
 TEST(ErDegrees, GnmDegreeDistributionIsBinomialLike) {
     // In G(n,m) the expected average degree is 2m/n.
     constexpr u64 n = 4000, m = 40000;
-    const auto edges = er::gnm_undirected(n, m, 21, 0, 1);
+    const auto edges = edges_of(gnm(Model::GnmUndirected, n, m, 21));
     const auto degs  = degrees(undirected_set(edges), n);
     EXPECT_NEAR(average_degree(degs), 2.0 * m / n, 0.01);
 }

@@ -196,7 +196,8 @@ TEST(ExactByConstruction, StreamingRhgPerPeOutputsAreGloballyDisjoint) {
         std::vector<EdgeList> per_pe;
         u64 total = 0;
         for (u64 r = 0; r < P; ++r) {
-            per_pe.push_back(rhg::generate_streaming(params, r, P));
+            per_pe.push_back(
+                generate(testing::to_config(Model::RhgStreaming, params), r, P).edges);
             total += per_pe.back().size();
         }
         EXPECT_EQ(total, pe::union_undirected(per_pe).size()) << "P=" << P;
@@ -416,7 +417,9 @@ TEST(SbmOwnership, FilterComposesWithModuleLevelGenerate) {
     std::vector<EdgeList> raw, filtered;
     u64 filtered_total = 0;
     for (u64 r = 0; r < P; ++r) {
-        raw.push_back(sbm::generate(params, r, P));
+        MemorySink all;
+        sbm::generate(params, r, P, all);
+        raw.push_back(all.take());
         MemorySink mem;
         OwnershipFilterSink filter(sbm::owned_vertex_range(params, r, P), mem);
         sbm::generate(params, r, P, filter);

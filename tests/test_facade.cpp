@@ -8,7 +8,7 @@
 #include "graph/csr.hpp"
 #include "graph/stats.hpp"
 #include "kagen.hpp"
-#include "pe/pe.hpp"
+#include "testing.hpp"
 
 namespace kagen {
 namespace {
@@ -42,11 +42,8 @@ TEST_P(AllModels, GeneratesAndIsPure) {
 }
 
 TEST_P(AllModels, UnionAcrossPesIsNonEmptyAndConsumable) {
-    const Config cfg  = small_config(GetParam());
-    const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return generate(cfg, rank, size).edges;
-    });
-    const EdgeList all = pe::union_undirected(per_pe);
+    const Config cfg   = small_config(GetParam());
+    const EdgeList all = pe::union_undirected(testing::per_pe(cfg, 4));
     ASSERT_FALSE(all.empty()) << model_name(cfg.model);
     const u64 n = generate(cfg, 0, 1).n;
     // Downstream pipeline: CSR + BFS + components must all work.
@@ -126,19 +123,103 @@ TEST(Facade, InvalidRankThrows) {
     EXPECT_THROW(generate(cfg, 0, 0), std::invalid_argument);
 }
 
-TEST(PeHarness, ThreadedAndSequentialAgree) {
-    const Config cfg = small_config(Model::Rgg2D);
-    const auto seq = pe::run_all(8, [&](u64 r, u64 s) { return generate(cfg, r, s).edges; },
-                                 /*threaded=*/false);
-    const auto thr = pe::run_all(8, [&](u64 r, u64 s) { return generate(cfg, r, s).edges; },
-                                 /*threaded=*/true);
-    EXPECT_EQ(seq, thr);
+// Parameters that describe no graph: each entry point must refuse them with
+// std::invalid_argument naming the field, before any chunk or rank starts
+// (the generators' own asserts are compiled out in Release builds).
+std::vector<Config> invalid_configs() {
+    std::vector<Config> bad;
+    const auto add = [&](Model model, auto&& tweak) {
+        Config cfg = small_config(model);
+        tweak(cfg);
+        bad.push_back(cfg);
+    };
+    add(Model::GnmDirected, [](Config& c) { c.n = 1; c.m = 5; });
+    add(Model::GnmDirected, [](Config& c) { c.n = 4; c.m = 13; });   // 12 pairs
+    add(Model::GnmDirected, [](Config& c) { c.n = 4; c.m = 100; });
+    add(Model::GnmUndirected, [](Config& c) { c.n = 4; c.m = 7; });  // 6 pairs
+    add(Model::GnmUndirected, [](Config& c) { c.n = 0; c.m = 1; });
+    add(Model::GnpDirected, [](Config& c) { c.p = 1.5; });
+    add(Model::GnpUndirected, [](Config& c) { c.p = -1.0; });
+    add(Model::GnpDirected,
+        [](Config& c) { c.p = std::numeric_limits<double>::quiet_NaN(); });
+    add(Model::Rhg, [](Config& c) { c.gamma = 2.0; });
+    add(Model::RhgStreaming, [](Config& c) { c.gamma = 1.5; });
+    add(Model::Rhg, [](Config& c) { c.avg_deg = -3.0; });
+    add(Model::RhgStreaming, [](Config& c) { c.avg_deg = 0.0; });
+    return bad;
 }
 
-TEST(PeHarness, RunTimedReturnsPositive) {
-    const Config cfg = small_config(Model::GnmDirected);
-    const double t = pe::run_timed(4, [&](u64 r, u64 s) { return generate(cfg, r, s).edges; });
-    EXPECT_GT(t, 0.0);
+const char* invalid_field(const Config& cfg) {
+    switch (cfg.model) {
+        case Model::GnmDirected:
+        case Model::GnmUndirected: return "m = ";
+        case Model::GnpDirected:
+        case Model::GnpUndirected: return "p = ";
+        default: return cfg.gamma > 2.0 ? "avg_deg = " : "gamma = ";
+    }
+}
+
+TEST(Validation, InProcessEntryPointsNameTheField) {
+    for (const Config& cfg : invalid_configs()) {
+        SCOPED_TRACE(model_name(cfg.model));
+        try {
+            (void)generate(cfg, 0, 1);
+            ADD_FAILURE() << "Result form accepted an invalid config";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(invalid_field(cfg)), std::string::npos)
+                << e.what();
+        }
+        CountingSink sink;
+        EXPECT_THROW(generate(cfg, 1, 4, sink), std::invalid_argument);
+        EXPECT_THROW(num_vertices(cfg), std::invalid_argument);
+        EXPECT_EQ(sink.num_edges(), 0u);
+    }
+}
+
+TEST(Validation, ChunkedRunRefusesBeforeAnyChunk) {
+    for (const Config& cfg : invalid_configs()) {
+        SCOPED_TRACE(model_name(cfg.model));
+        CountingSink sink;
+        EXPECT_THROW(generate_chunked(cfg, 4, sink), std::invalid_argument);
+        EXPECT_EQ(sink.num_edges(), 0u);
+    }
+}
+
+TEST(Validation, DistributedRunRefusesBeforeForking) {
+    // A rank that failed after the fork would surface as a runtime_error
+    // naming the rank; invalid_argument means the coordinator refused first.
+    for (const Config& cfg : invalid_configs()) {
+        SCOPED_TRACE(model_name(cfg.model));
+        dist::DistOptions opts;
+        opts.num_ranks = 2;
+        EXPECT_THROW(generate_distributed(cfg, opts), std::invalid_argument);
+    }
+}
+
+TEST(Validation, EdgeCasesStayAccepted) {
+    // Degenerate but well-defined: no pairs and no edges asked for, the
+    // extreme probabilities, a zero radius.
+    for (const Model model : {Model::GnmDirected, Model::GnmUndirected}) {
+        for (const u64 n : {u64{0}, u64{1}}) {
+            Config cfg = small_config(model);
+            cfg.n      = n;
+            cfg.m      = 0;
+            EXPECT_TRUE(generate(cfg, 0, 1).edges.empty());
+        }
+        Config full = small_config(model);
+        full.n      = 4;
+        full.m      = model == Model::GnmDirected ? 12 : 6; // every pair
+        EXPECT_EQ(generate(full, 0, 1).edges.size(), full.m);
+    }
+    for (const double p : {0.0, 1.0}) {
+        Config cfg = small_config(Model::GnpDirected);
+        cfg.n      = 16;
+        cfg.p      = p;
+        EXPECT_EQ(generate(cfg, 0, 1).edges.size(), p == 0.0 ? 0u : 16u * 15u);
+    }
+    Config rgg = small_config(Model::Rgg2D);
+    rgg.r      = 0.0;
+    EXPECT_NO_THROW(generate(rgg, 0, 2));
 }
 
 TEST(GraphStats, CsrAndBfsOnKnownGraph) {

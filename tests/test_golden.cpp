@@ -2,9 +2,9 @@
 // a distribution — PR after PR may rearrange the engines, but the default
 // (v1) output for a pinned (model, params, seed, rank, size) must never
 // move by a single byte, or silently re-generated datasets stop matching
-// published ones. These fixtures freeze small instances of the ER family,
-// one geometric model, the in-memory RHG and R-MAT, plus one G(n,m) instance
-// under sampler v2, whose bytes are pinned too; the byte-identity sweeps in
+// published ones. These fixtures freeze a small instance of every Model
+// (both RHG generators), plus one G(n,m) instance under sampler v2, whose
+// bytes are pinned too; the byte-identity sweeps in
 // test_er/test_dist cover self-consistency, this suite covers consistency
 // *across commits*.
 //
@@ -69,6 +69,19 @@ const GoldenCase kCases[] = {
     // samples from 2^21 positions: one halving split, two spacings leaves.
     {"gnm_directed_n2048_m4096_s7_r0of2_v2.bin", Model::GnmDirected, 2048, 4096,
      0.0, 0.0, 7, 0, 2, 8.0, 3.0, EdgeSemantics::as_generated, SamplerVersion::v2},
+    // Undirected G(n,p): the binomial chunk counts plus both-owner chunks.
+    {"gnp_undirected_n2048_p0.002_s11_r1of2.bin", Model::GnpUndirected, 2048, 0,
+     0.002, 0.0, 11, 1, 2},
+    {"rgg3d_n4096_r0.06_s13_r1of2.bin", Model::Rgg3D, 4096, 0, 0.0, 0.06, 13,
+     1, 2},
+    // RDG streams its per-PE deduplicated edge set once the halo converges.
+    {"rdg2d_n1024_s7_r0of2.bin", Model::Rdg2D, 1024, 0, 0.0, 0.0, 7, 0, 2},
+    {"rdg3d_n512_s9_r1of2.bin", Model::Rdg3D, 512, 0, 0.0, 0.0, 9, 1, 2},
+    // The streaming RHG's request order (sweep events, not query order).
+    {"rhg_streaming_n4096_d8_g3_s9_r1of2.bin", Model::RhgStreaming, 4096, 0,
+     0.0, 0.0, 9, 1, 2},
+    // BA with the default ba_degree = 4: pins the dependency-chain resolve.
+    {"ba_n2048_d4_s7_r1of2.bin", Model::Ba, 2048, 0, 0.0, 0.0, 7, 1, 2},
 };
 
 std::string golden_path(const char* file) {

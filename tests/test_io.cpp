@@ -5,11 +5,20 @@
 #include <fstream>
 #include <sstream>
 
-#include "er/er.hpp"
 #include "graph/io.hpp"
+#include "kagen.hpp"
 
 namespace kagen {
 namespace {
+
+EdgeList gnm(Model model, u64 n, u64 m, u64 seed) {
+    Config cfg;
+    cfg.model = model;
+    cfg.n     = n;
+    cfg.m     = m;
+    cfg.seed  = seed;
+    return generate(cfg, 0, 1).edges;
+}
 
 class IoTest : public ::testing::Test {
 protected:
@@ -30,7 +39,7 @@ protected:
 };
 
 TEST_F(IoTest, TextRoundTrip) {
-    const EdgeList edges = er::gnm_directed(100, 500, 1, 0, 1);
+    const EdgeList edges = gnm(Model::GnmDirected, 100, 500, 1);
     const auto p         = track(path("text.el"));
     io::write_edge_list(p, edges, "test graph");
     EXPECT_EQ(io::read_edge_list(p), edges);
@@ -47,7 +56,7 @@ TEST_F(IoTest, TextSkipsCommentsAndBlankLines) {
 }
 
 TEST_F(IoTest, BinaryRoundTrip) {
-    const EdgeList edges = er::gnm_undirected(200, 1500, 2, 0, 1);
+    const EdgeList edges = gnm(Model::GnmUndirected, 200, 1500, 2);
     const auto p         = track(path("bin.el"));
     io::write_edge_list_binary(p, edges);
     EXPECT_EQ(io::read_edge_list_binary(p), edges);
@@ -153,7 +162,7 @@ TEST_F(IoTest, BinaryWriteFailureThrowsInsteadOfTruncating) {
     if (!std::ofstream("/dev/full").good()) {
         GTEST_SKIP() << "/dev/full not available";
     }
-    const EdgeList edges = er::gnm_directed(100, 500, 1, 0, 1);
+    const EdgeList edges = gnm(Model::GnmDirected, 100, 500, 1);
     EXPECT_THROW(io::write_edge_list_binary("/dev/full", edges),
                  std::runtime_error);
 }

@@ -6,13 +6,8 @@
 #include <set>
 
 #include "common/math.hpp"
-#include "er/er.hpp"
 #include "graph/stats.hpp"
-#include "hyperbolic/hyperbolic.hpp"
-#include "pe/pe.hpp"
-#include "rdg/rdg.hpp"
-#include "rgg/rgg.hpp"
-#include "rhg/rhg.hpp"
+#include "kagen.hpp"
 #include "sampling/sampling.hpp"
 #include "testing.hpp"
 
@@ -75,9 +70,12 @@ TEST(ErProperties, DegreesAreExchangeableAcrossChunkBoundaries) {
     constexpr u64 n = 60, m = 200, P = 4, kRuns = 3000;
     std::vector<double> sums(n, 0.0);
     for (u64 seed = 0; seed < kRuns; ++seed) {
-        const auto per_pe = pe::run_all(P, [&](u64 r, u64 s) {
-            return er::gnm_undirected(n, m, seed, r, s);
-        });
+        Config cfg;
+        cfg.model         = Model::GnmUndirected;
+        cfg.n             = n;
+        cfg.m             = m;
+        cfg.seed          = seed;
+        const auto per_pe = testing::per_pe(cfg, P);
         for (const auto& [u, v] : pe::union_undirected(per_pe)) {
             sums[u] += 1.0;
             sums[v] += 1.0;
@@ -95,30 +93,24 @@ class SeedSweep : public ::testing::TestWithParam<u64> {};
 TEST_P(SeedSweep, RggUnionExactness) {
     const u64 seed = GetParam();
     const rgg::Params params{400, 0.07, seed};
-    const auto per_pe = pe::run_all(5, [&](u64 r, u64 s) {
-        return rgg::generate<2>(params, r, s);
-    });
+    const auto per_pe = testing::per_pe(testing::to_config(Model::Rgg2D, params), 5);
     EXPECT_EQ(pe::union_undirected(per_pe), undirected_set(rgg::brute_force<2>(params, 5)));
 }
 
 TEST_P(SeedSweep, RdgUnionExactness) {
     const u64 seed = GetParam();
     const rdg::Params params{250, seed};
-    const auto per_pe = pe::run_all(4, [&](u64 r, u64 s) {
-        return rdg::generate<2>(params, r, s);
-    });
+    const auto per_pe = testing::per_pe(testing::to_config(Model::Rdg2D, params), 4);
     EXPECT_EQ(pe::union_undirected(per_pe), rdg::reference<2>(params, 4));
 }
 
 TEST_P(SeedSweep, RhgStreamingMatchesInMemory) {
     const u64 seed = GetParam();
     const hyp::Params params{700, 10, 2.7, seed};
-    const auto a = pe::union_undirected(pe::run_all(3, [&](u64 r, u64 s) {
-        return rhg::generate_inmemory(params, r, s);
-    }));
-    const auto b = pe::union_undirected(pe::run_all(3, [&](u64 r, u64 s) {
-        return rhg::generate_streaming(params, r, s);
-    }));
+    const auto a =
+        pe::union_undirected(testing::per_pe(testing::to_config(Model::Rhg, params), 3));
+    const auto b = pe::union_undirected(
+        testing::per_pe(testing::to_config(Model::RhgStreaming, params), 3));
     EXPECT_EQ(a, b) << "the two generators must produce the same graph";
 }
 
@@ -172,23 +164,13 @@ TEST(HyperbolicSpace, TriangleShortcutConsistent) {
     EXPECT_LT(space.distance(p, q), space.radius());
 }
 
-// ---- PE harness contracts.
-TEST(PeHarness, UnionHelpersDeduplicate) {
+// ---- Union oracles over per-PE outputs.
+TEST(PeUnion, UnionHelpersDeduplicate) {
     const std::vector<EdgeList> parts{{{1, 2}, {3, 1}}, {{2, 1}, {1, 3}}};
     const auto undirected = pe::union_undirected(parts);
     EXPECT_EQ(undirected, (EdgeList{{1, 2}, {1, 3}}));
     const auto directed = pe::union_directed(parts);
     EXPECT_EQ(directed, (EdgeList{{1, 2}, {1, 3}, {2, 1}, {3, 1}}));
-}
-
-TEST(PeHarness, SingleRank) {
-    const auto parts = pe::run_all(1, [](u64 rank, u64 size) {
-        EXPECT_EQ(rank, 0u);
-        EXPECT_EQ(size, 1u);
-        return EdgeList{{0, 1}};
-    });
-    ASSERT_EQ(parts.size(), 1u);
-    EXPECT_EQ(parts[0].size(), 1u);
 }
 
 // ---- Graph statistics on analytically known inputs.

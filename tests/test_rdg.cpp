@@ -6,12 +6,16 @@
 
 #include "common/math.hpp"
 #include "graph/stats.hpp"
-#include "pe/pe.hpp"
-#include "rdg/rdg.hpp"
-#include "rgg/rgg.hpp"
+#include "kagen.hpp"
+#include "testing.hpp"
 
 namespace kagen {
 namespace {
+
+template <int D>
+Config rdg_cfg(const rdg::Params& params) {
+    return testing::to_config(D == 2 ? Model::Rdg2D : Model::Rdg3D, params);
+}
 
 struct RdgCase {
     u64 n;
@@ -24,9 +28,7 @@ class Rdg3D : public ::testing::TestWithParam<RdgCase> {};
 TEST_P(Rdg2D, UnionEqualsPeriodicReference) {
     const auto [n, P] = GetParam();
     const rdg::Params params{n, /*seed=*/11};
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rdg::generate<2>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rdg_cfg<2>(params), P);
     const EdgeList got  = pe::union_undirected(per_pe);
     const EdgeList want = rdg::reference<2>(params, P);
     EXPECT_EQ(got, want);
@@ -35,9 +37,7 @@ TEST_P(Rdg2D, UnionEqualsPeriodicReference) {
 TEST_P(Rdg3D, UnionEqualsPeriodicReference) {
     const auto [n, P] = GetParam();
     const rdg::Params params{n, /*seed=*/12};
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rdg::generate<3>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rdg_cfg<3>(params), P);
     const EdgeList got  = pe::union_undirected(per_pe);
     const EdgeList want = rdg::reference<3>(params, P);
     EXPECT_EQ(got, want);
@@ -68,9 +68,7 @@ TEST(Rdg, TorusEulerIdentity2D) {
     // w.h.p. for uniform points at this size).
     for (u64 seed : {1u, 2u, 3u}) {
         const rdg::Params params{500, seed};
-        const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-            return rdg::generate<2>(params, rank, size);
-        });
+        const auto per_pe = testing::per_pe(rdg_cfg<2>(params), 4);
         EXPECT_EQ(pe::union_undirected(per_pe).size(), 3 * params.n) << "seed " << seed;
     }
 }
@@ -78,29 +76,25 @@ TEST(Rdg, TorusEulerIdentity2D) {
 TEST(Rdg, MinimumDegreeOnTorus) {
     // Every vertex of a 2D triangulation has degree >= 3; in 3D >= 4.
     const rdg::Params params{400, 9};
-    const auto e2 = pe::union_undirected(pe::run_all(4, [&](u64 r, u64 s) {
-        return rdg::generate<2>(params, r, s);
-    }));
+    const auto e2 = pe::union_undirected(testing::per_pe(rdg_cfg<2>(params), 4));
     for (const u64 d : degrees(e2, params.n)) EXPECT_GE(d, 3u);
     const rdg::Params params3{200, 9};
-    const auto e3 = pe::union_undirected(pe::run_all(8, [&](u64 r, u64 s) {
-        return rdg::generate<3>(params3, r, s);
-    }));
+    const auto e3 = pe::union_undirected(testing::per_pe(rdg_cfg<3>(params3), 8));
     for (const u64 d : degrees(e3, params3.n)) EXPECT_GE(d, 4u);
 }
 
 TEST(Rdg, TorusGraphIsConnected) {
     const rdg::Params params{600, 21};
-    const auto edges = pe::union_undirected(pe::run_all(4, [&](u64 r, u64 s) {
-        return rdg::generate<2>(params, r, s);
-    }));
+    const auto edges = pe::union_undirected(testing::per_pe(rdg_cfg<2>(params), 4));
     EXPECT_EQ(connected_components(edges, params.n), 1u);
 }
 
 TEST(Rdg, DeterministicPerRank) {
     const rdg::Params params{300, 5};
-    EXPECT_EQ(rdg::generate<2>(params, 1, 4), rdg::generate<2>(params, 1, 4));
-    EXPECT_EQ(rdg::generate<3>(params, 3, 8), rdg::generate<3>(params, 3, 8));
+    EXPECT_EQ(generate(rdg_cfg<2>(params), 1, 4).edges,
+              generate(rdg_cfg<2>(params), 1, 4).edges);
+    EXPECT_EQ(generate(rdg_cfg<3>(params), 3, 8).edges,
+              generate(rdg_cfg<3>(params), 3, 8).edges);
 }
 
 TEST(Rdg, CrossPeEdgesAppearOnBothOwners) {
@@ -115,9 +109,7 @@ TEST(Rdg, CrossPeEdgesAppearOnBothOwners) {
         const u64 pe = block_owner(nchunks, P, cell >> shift);
         for (const auto& p : grid.cell_points(cell)) owner[p.id] = pe;
     }
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rdg::generate<2>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rdg_cfg<2>(params), P);
     std::vector<std::set<Edge>> sets(P);
     for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
     for (const auto& e : pe::union_undirected(per_pe)) {
@@ -129,9 +121,7 @@ TEST(Rdg, CrossPeEdgesAppearOnBothOwners) {
 TEST(Rdg, AverageDegreeNearSixOnTorus2D) {
     // E = 3V  =>  average degree exactly 6 on the torus.
     const rdg::Params params{1000, 77};
-    const auto edges = pe::union_undirected(pe::run_all(9, [&](u64 r, u64 s) {
-        return rdg::generate<2>(params, r, s);
-    }));
+    const auto edges = pe::union_undirected(testing::per_pe(rdg_cfg<2>(params), 9));
     const auto degs = degrees(edges, params.n);
     EXPECT_NEAR(average_degree(degs), 6.0, 0.05);
 }

@@ -8,11 +8,18 @@
 
 #include "common/math.hpp"
 #include "graph/stats.hpp"
-#include "pe/pe.hpp"
-#include "rgg/rgg.hpp"
+#include "kagen.hpp"
+#include "testing.hpp"
 
 namespace kagen {
 namespace {
+
+using testing::to_config;
+
+template <int D>
+Config rgg_cfg(const rgg::Params& params) {
+    return to_config(D == 2 ? Model::Rgg2D : Model::Rgg3D, params);
+}
 
 struct RggCase {
     u64 n;
@@ -26,9 +33,7 @@ class Rgg3D : public ::testing::TestWithParam<RggCase> {};
 TEST_P(Rgg2D, UnionEqualsBruteForce) {
     const auto [n, r, P] = GetParam();
     const rgg::Params params{n, r, /*seed=*/42};
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rgg_cfg<2>(params), P);
     const EdgeList got  = pe::union_undirected(per_pe);
     const EdgeList want = undirected_set(rgg::brute_force<2>(params, P));
     EXPECT_EQ(got, want);
@@ -37,9 +42,7 @@ TEST_P(Rgg2D, UnionEqualsBruteForce) {
 TEST_P(Rgg3D, UnionEqualsBruteForce) {
     const auto [n, r, P] = GetParam();
     const rgg::Params params{n, r, /*seed=*/43};
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rgg::generate<3>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rgg_cfg<3>(params), P);
     const EdgeList got  = pe::union_undirected(per_pe);
     const EdgeList want = undirected_set(rgg::brute_force<3>(params, P));
     EXPECT_EQ(got, want);
@@ -72,9 +75,7 @@ TEST(Rgg, EdgesRespectRadiusExactly) {
     const auto grid = rgg::point_grid<2>(params, 4);
     std::vector<Vec2> pos(params.n);
     for (const auto& p : grid.all_points()) pos[p.id] = p.pos;
-    const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rgg_cfg<2>(params), 4);
     for (const auto& [u, v] : pe::union_undirected(per_pe)) {
         EXPECT_LE(distance(pos[u], pos[v]), params.r * 1.0000001);
     }
@@ -82,9 +83,7 @@ TEST(Rgg, EdgesRespectRadiusExactly) {
 
 TEST(Rgg, NoSelfLoopsNoDuplicatesPerPe) {
     const rgg::Params params{2000, 0.03, 123};
-    const auto per_pe = pe::run_all(8, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rgg_cfg<2>(params), 8);
     for (const auto& part : per_pe) {
         EXPECT_FALSE(has_self_loop(part));
         std::set<Edge> set(part.begin(), part.end());
@@ -105,9 +104,7 @@ TEST(Rgg, CrossPeEdgesAppearOnBothOwners) {
         const u64 pe = block_owner(nchunks, P, cell >> shift);
         for (const auto& p : grid.cell_points(cell)) owner[p.id] = pe;
     }
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rgg_cfg<2>(params), P);
     std::vector<std::set<Edge>> sets(P);
     for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
     for (const auto& e : pe::union_undirected(per_pe)) {
@@ -118,16 +115,16 @@ TEST(Rgg, CrossPeEdgesAppearOnBothOwners) {
 
 TEST(Rgg, DeterministicPerRank) {
     const rgg::Params params{3000, 0.02, 77};
-    EXPECT_EQ(rgg::generate<2>(params, 2, 8), rgg::generate<2>(params, 2, 8));
-    EXPECT_EQ(rgg::generate<3>(params, 3, 8), rgg::generate<3>(params, 3, 8));
+    EXPECT_EQ(generate(rgg_cfg<2>(params), 2, 8).edges,
+              generate(rgg_cfg<2>(params), 2, 8).edges);
+    EXPECT_EQ(generate(rgg_cfg<3>(params), 3, 8).edges,
+              generate(rgg_cfg<3>(params), 3, 8).edges);
 }
 
 TEST(Rgg, ExpectedDegreeMatchesTheory2D) {
     // Interior vertices have expected degree n*pi*r^2 (paper §2.1.2).
     const rgg::Params params{20000, 0.02, 9};
-    const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rgg_cfg<2>(params), 4);
     const auto edges = pe::union_undirected(per_pe);
     const auto grid  = rgg::point_grid<2>(params, 4);
     const auto degs  = degrees(edges, params.n);
@@ -153,9 +150,7 @@ TEST(Rgg, ExpectedDegreeMatchesTheory2D) {
 TEST(Rgg, ExpectedDegreeMatchesTheory3D) {
     // d_bar = n * (4/3) pi r^3 for interior vertices.
     const rgg::Params params{20000, 0.06, 11};
-    const auto per_pe = pe::run_all(8, [&](u64 rank, u64 size) {
-        return rgg::generate<3>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rgg_cfg<3>(params), 8);
     const auto edges = pe::union_undirected(per_pe);
     const auto grid  = rgg::point_grid<3>(params, 8);
     const auto degs  = degrees(edges, params.n);
@@ -185,9 +180,7 @@ TEST(Rgg, GiantComponentAtThresholdRadius) {
     constexpr u64 n = 5000;
     const double r  = 0.55 * std::sqrt(std::log(static_cast<double>(n)) / n);
     const rgg::Params params{n, r, 2024};
-    const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(rgg_cfg<2>(params), 4);
     const u64 components = connected_components(pe::union_undirected(per_pe), n);
     EXPECT_LE(components, n / 500) << "expected a giant component plus stragglers";
 }

@@ -14,7 +14,6 @@
 #include "graph/stats.hpp"
 #include "hyperbolic/hyperbolic.hpp"
 #include "kagen.hpp"
-#include "pe/pe.hpp"
 #include "rhg/rhg.hpp"
 #include "sink/ownership.hpp"
 #include "sink/sinks.hpp"
@@ -42,18 +41,14 @@ EdgeList sorted(EdgeList edges) {
 TEST_P(RhgBoth, InMemoryUnionEqualsBruteForce) {
     const auto [n, d, g, P] = GetParam();
     const hyp::Params params{n, d, g, /*seed=*/5};
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rhg::generate_inmemory(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(testing::to_config(Model::Rhg, params), P);
     EXPECT_EQ(pe::union_undirected(per_pe), rhg::brute_force(params, P));
 }
 
 TEST_P(RhgBoth, StreamingUnionEqualsBruteForce) {
     const auto [n, d, g, P] = GetParam();
     const hyp::Params params{n, d, g, /*seed=*/5};
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rhg::generate_streaming(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(testing::to_config(Model::RhgStreaming, params), P);
     EXPECT_EQ(pe::union_undirected(per_pe), rhg::brute_force(params, P));
 }
 
@@ -294,9 +289,8 @@ TEST(RhgStats, AverageDegreeTracksTarget) {
     double prev = 0.0;
     for (const double target : {8.0, 16.0, 32.0}) {
         const hyp::Params params{n, target, 2.9, 4242};
-        const auto per_pe = pe::run_all(8, [&](u64 rank, u64 size) {
-            return rhg::generate_streaming(params, rank, size);
-        });
+        const auto per_pe =
+            testing::per_pe(testing::to_config(Model::RhgStreaming, params), 8);
         const auto edges  = pe::union_undirected(per_pe);
         const double mean = 2.0 * static_cast<double>(edges.size()) /
                             static_cast<double>(n);
@@ -309,9 +303,7 @@ TEST(RhgStats, AverageDegreeTracksTarget) {
 
 TEST(RhgStats, PowerLawExponentNearGamma) {
     const hyp::Params params{60000, 12, 2.6, 31};
-    const auto per_pe = pe::run_all(8, [&](u64 rank, u64 size) {
-        return rhg::generate_streaming(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(testing::to_config(Model::RhgStreaming, params), 8);
     const auto degs = degrees(pe::union_undirected(per_pe), params.n);
     const double est = power_law_exponent_mle(degs, 12);
     EXPECT_NEAR(est, params.gamma, 0.45);
@@ -320,9 +312,7 @@ TEST(RhgStats, PowerLawExponentNearGamma) {
 TEST(RhgStats, HighDegreeVerticesSitAtSmallRadii) {
     const hyp::Params params{20000, 16, 2.5, 7};
     const hyp::HypGrid grid(params, 4);
-    const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return rhg::generate_inmemory(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(testing::to_config(Model::Rhg, params), 4);
     const auto degs = degrees(pe::union_undirected(per_pe), params.n);
     // Compare mean radius of the top-decile degree vertices vs the rest.
     std::vector<double> radius(params.n);
@@ -343,10 +333,10 @@ TEST(RhgStats, HighDegreeVerticesSitAtSmallRadii) {
 
 TEST(RhgGenerators, DeterministicPerRank) {
     const hyp::Params params{2000, 8, 2.8, 3};
-    EXPECT_EQ(rhg::generate_inmemory(params, 2, 4),
-              rhg::generate_inmemory(params, 2, 4));
-    EXPECT_EQ(rhg::generate_streaming(params, 2, 4),
-              rhg::generate_streaming(params, 2, 4));
+    EXPECT_EQ(generate(testing::to_config(Model::Rhg, params), 2, 4).edges,
+              generate(testing::to_config(Model::Rhg, params), 2, 4).edges);
+    EXPECT_EQ(generate(testing::to_config(Model::RhgStreaming, params), 2, 4).edges,
+              generate(testing::to_config(Model::RhgStreaming, params), 2, 4).edges);
 }
 
 TEST(RhgGenerators, InMemoryOutputIsPartitioned) {
@@ -361,9 +351,7 @@ TEST(RhgGenerators, InMemoryOutputIsPartitioned) {
             for (const auto& p : grid.chunk_points(a, c)) owner[p.id] = c;
         }
     }
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rhg::generate_inmemory(params, rank, size);
-    });
+    const auto per_pe = testing::per_pe(testing::to_config(Model::Rhg, params), P);
     std::vector<EdgeList> incident(P);
     for (const auto& e : pe::union_undirected(per_pe)) {
         incident[owner[e.first]].push_back(e);

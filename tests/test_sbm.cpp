@@ -6,26 +6,43 @@
 #include <set>
 
 #include "common/math.hpp"
-#include "er/er.hpp"
 #include "graph/stats.hpp"
-#include "pe/pe.hpp"
+#include "kagen.hpp"
 #include "sbm/sbm.hpp"
 #include "testing.hpp"
 
 namespace kagen {
 namespace {
 
+// SBM has no Model: these drive its sink function one rank at a time.
+EdgeList edges_of(const sbm::Params& params, u64 rank, u64 size) {
+    MemorySink sink;
+    sbm::generate(params, rank, size, sink);
+    return sink.take();
+}
+
+std::vector<EdgeList> sbm_per_pe(const sbm::Params& params, u64 size) {
+    std::vector<EdgeList> out;
+    for (u64 rank = 0; rank < size; ++rank) out.push_back(edges_of(params, rank, size));
+    return out;
+}
+
+Config gnp_undirected(u64 n, double p, u64 seed) {
+    Config cfg;
+    cfg.model = Model::GnpUndirected;
+    cfg.n     = n;
+    cfg.p     = p;
+    cfg.seed  = seed;
+    return cfg;
+}
+
 class SbmPeCounts : public ::testing::TestWithParam<u64> {};
 
 TEST_P(SbmPeCounts, UnionIndependentOfPeCount) {
     const u64 P       = GetParam();
     const auto params = sbm::planted_partition(300, 4, 0.1, 0.01, 7);
-    const auto seq    = pe::union_undirected(pe::run_all(1, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
-    }));
-    const auto par    = pe::union_undirected(pe::run_all(P, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
-    }));
+    const auto seq    = pe::union_undirected(sbm_per_pe(params, 1));
+    const auto par    = pe::union_undirected(sbm_per_pe(params, P));
     // Region seeds depend only on global matrix coordinates of the overlay,
     // but the overlay itself depends on P; equality therefore holds at the
     // *distribution* level, not bitwise. Here we check the structural
@@ -36,9 +53,7 @@ TEST_P(SbmPeCounts, UnionIndependentOfPeCount) {
         EXPECT_LT(v, sbm::num_vertices(params));
     }
     // The raw per-PE outputs use the lower-triangle convention (u > v).
-    for (const auto& part : pe::run_all(P, [&](u64 r, u64 s) {
-             return sbm::generate(params, r, s);
-         })) {
+    for (const auto& part : sbm_per_pe(params, P)) {
         for (const auto& [u, v] : part) EXPECT_GT(u, v);
     }
     // Densities should be statistically close (same model): compare total
@@ -64,9 +79,7 @@ TEST(Sbm, BlockPairDensitiesMatchProbabilities) {
     double counts[3][3] = {};
     for (int run = 0; run < kRuns; ++run) {
         params.seed       = 100 + run;
-        const auto per_pe = pe::run_all(4, [&](u64 r, u64 s) {
-            return sbm::generate(params, r, s);
-        });
+        const auto per_pe = sbm_per_pe(params, 4);
         auto block_of = [&](u64 v) { return v < 200 ? 0 : (v < 500 ? 1 : 2); };
         for (const auto& [u, v] : pe::union_undirected(per_pe)) {
             const int bu = block_of(u);
@@ -99,13 +112,10 @@ TEST(Sbm, SingleBlockMatchesGnpDistribution) {
         params.probs       = {{p}};
         params.seed        = 500 + run;
         sbm_sum += static_cast<double>(
-            pe::union_undirected(pe::run_all(3, [&](u64 r, u64 s) {
-                return sbm::generate(params, r, s);
-            })).size());
-        gnp_sum += static_cast<double>(
-            pe::union_undirected(pe::run_all(3, [&](u64 r, u64 s) {
-                return er::gnp_undirected(n, p, 500 + run, r, s);
-            })).size());
+            pe::union_undirected(sbm_per_pe(params, 3)).size());
+        const Config gnp = gnp_undirected(n, p, 500 + run);
+        gnp_sum +=
+            static_cast<double>(pe::union_undirected(testing::per_pe(gnp, 3)).size());
     }
     const double expected = static_cast<double>(n) * (n - 1) / 2 * p;
     const double tol      = 6 * std::sqrt(expected / kRuns);
@@ -117,9 +127,7 @@ TEST(Sbm, RedundancyAcrossOwners) {
     const auto params = sbm::planted_partition(240, 3, 0.2, 0.02, 11);
     const u64 n       = sbm::num_vertices(params);
     constexpr u64 P   = 5;
-    const auto per_pe = pe::run_all(P, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
-    });
+    const auto per_pe = sbm_per_pe(params, P);
     // Compare in canonical (min, max) form: the generator emits (u > v).
     std::vector<std::set<Edge>> sets(P);
     for (u64 r = 0; r < P; ++r) {
@@ -136,9 +144,7 @@ TEST(Sbm, RedundancyAcrossOwners) {
 TEST(Sbm, CommunityStructureIsDetectable) {
     // Strong planted partition: intra-block degree must dominate.
     const auto params = sbm::planted_partition(600, 3, 0.2, 0.002, 13);
-    const auto edges  = pe::union_undirected(pe::run_all(4, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
-    }));
+    const auto edges  = pe::union_undirected(sbm_per_pe(params, 4));
     u64 intra = 0, inter = 0;
     for (const auto& [u, v] : edges) {
         (u / 200 == v / 200 ? intra : inter) += 1;
@@ -151,9 +157,7 @@ TEST(Sbm, ZeroAndOneProbabilities) {
     params.block_sizes = {10, 10};
     params.probs       = {{1.0, 0.0}, {0.0, 1.0}};
     params.seed        = 1;
-    const auto edges   = pe::union_undirected(pe::run_all(2, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
-    }));
+    const auto edges   = pe::union_undirected(sbm_per_pe(params, 2));
     // Two disjoint cliques of 10: 2 * C(10,2) = 90 edges, none crossing.
     EXPECT_EQ(edges.size(), 90u);
     for (const auto& [u, v] : edges) EXPECT_EQ(u / 10, v / 10);
@@ -161,7 +165,7 @@ TEST(Sbm, ZeroAndOneProbabilities) {
 
 TEST(Sbm, DeterministicPerRank) {
     const auto params = sbm::planted_partition(500, 5, 0.05, 0.01, 21);
-    EXPECT_EQ(sbm::generate(params, 2, 4), sbm::generate(params, 2, 4));
+    EXPECT_EQ(edges_of(params, 2, 4), edges_of(params, 2, 4));
 }
 
 TEST(Sbm, UnevenBlockAndChunkBoundaries) {
@@ -171,9 +175,7 @@ TEST(Sbm, UnevenBlockAndChunkBoundaries) {
     params.probs.assign(4, std::vector<double>(4, 0.15));
     params.seed = 9;
     const u64 n = sbm::num_vertices(params);
-    const auto edges = pe::union_undirected(pe::run_all(7, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
-    }));
+    const auto edges = pe::union_undirected(sbm_per_pe(params, 7));
     EXPECT_FALSE(has_self_loop(edges));
     for (const auto& [u, v] : edges) {
         EXPECT_LT(u, n);

@@ -259,6 +259,7 @@ TEST_P(ChunkedEngine, MatchesPerRankSequentialPath) {
     const ChunkStats stats = generate_chunked(cfg, P, sink);
     sink.finish();
     EXPECT_EQ(stats.num_chunks, P);
+    EXPECT_GT(stats.seconds, 0.0); // the makespan the scaling benches record
     EXPECT_EQ(sink.edges(), sequential) << model_name(cfg.model);
     EXPECT_EQ(undirected_set(sink.edges()), undirected_set(sequential));
 }

@@ -11,8 +11,71 @@
 
 #include "common/types.hpp"
 #include "graph/edge_list.hpp"
+#include "kagen.hpp"
 
 namespace kagen::testing {
+
+/// Configs for the facade from the per-model parameter structs the oracles
+/// (brute_force, reference, resolve, edge_at) take, so a test can generate
+/// through kagen::generate and check against the oracle on one instance.
+inline Config to_config(Model model, const rgg::Params& params) {
+    Config cfg;
+    cfg.model = model; // Rgg2D or Rgg3D
+    cfg.n     = params.n;
+    cfg.r     = params.r;
+    cfg.seed  = params.seed;
+    return cfg;
+}
+
+inline Config to_config(Model model, const rdg::Params& params) {
+    Config cfg;
+    cfg.model = model; // Rdg2D or Rdg3D
+    cfg.n     = params.n;
+    cfg.seed  = params.seed;
+    return cfg;
+}
+
+inline Config to_config(Model model, const hyp::Params& params) {
+    Config cfg;
+    cfg.model   = model; // Rhg or RhgStreaming
+    cfg.n       = params.n;
+    cfg.avg_deg = params.avg_deg;
+    cfg.gamma   = params.gamma;
+    cfg.seed    = params.seed;
+    return cfg;
+}
+
+inline Config to_config(const ba::Params& params) {
+    Config cfg;
+    cfg.model     = Model::Ba;
+    cfg.n         = params.n;
+    cfg.ba_degree = params.degree;
+    cfg.seed      = params.seed;
+    return cfg;
+}
+
+inline Config to_config(const rmat::Params& params) {
+    Config cfg;
+    cfg.model  = Model::Rmat;
+    cfg.n      = u64{1} << params.log_n;
+    cfg.m      = params.m;
+    cfg.rmat_a = params.a;
+    cfg.rmat_b = params.b;
+    cfg.rmat_c = params.c;
+    cfg.seed   = params.seed;
+    return cfg;
+}
+
+/// The edge lists ranks 0..size-1 hold after `kagen::generate(cfg, rank,
+/// size)` — what an MPI job of `size` PEs would produce, one rank at a time.
+inline std::vector<EdgeList> per_pe(const Config& cfg, u64 size) {
+    std::vector<EdgeList> out;
+    out.reserve(size);
+    for (u64 rank = 0; rank < size; ++rank) {
+        out.push_back(generate(cfg, rank, size).edges);
+    }
+    return out;
+}
 
 /// Redundant emissions in the concatenated per-chunk streams beyond the
 /// canonical undirected edge set — i.e. how many duplicate copies the
