@@ -8,8 +8,11 @@
 //     reseed costs — why seeds are drawn per subtree, not per sample),
 //   * the sampler-v2 engine pieces: the fused bulk Exp(1) fill, and
 //     sorted_sample v1 vs v2 at three densities — the ablation behind the
-//     >= 2x Gnm headline claim.
+//     >= 2x Gnm headline claim,
+//   * a ladder over one G(n,m) v2 chunk: sampler, + row decoder and sink
+//     buffer, + counting sink; adjacent rungs give each layer's cost.
 #include "bench_common.hpp"
+#include "er/er.hpp"
 #include "prng/rng.hpp"
 #include "sampling/sampling.hpp"
 #include "variates/batch.hpp"
@@ -125,6 +128,47 @@ void BernoulliSample_V2(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<int64_t>(emitted));
 }
 
+// perfbench gnm_count's chunk shape: n = 2^22 and m = 2^26 on 16 chunks
+// give each chunk 2^18 rows of 2^22 - 1 slots and about 2^22 samples.
+// items/s is edges/s on every rung.
+constexpr u64 kGnmChunkWidth    = (u64{1} << 22) - 1;
+constexpr u64 kGnmChunkUniverse = (u64{1} << 18) * kGnmChunkWidth;
+constexpr u64 kGnmChunkK        = u64{1} << 22;
+
+/// A sink that drops every batch: the rung between sampler and count sink.
+class NullSink final : public EdgeSink {
+    void consume(const Edge*, std::size_t) override {}
+};
+
+void GnmChunkV2_Sampler(benchmark::State& state) {
+    Rng rng(7);
+    u64 acc = 0;
+    for (auto _ : state) {
+        sorted_sample_blocks(rng, kGnmChunkUniverse, kGnmChunkK,
+                             [&](const u64* pos, std::size_t count, u64 offset) {
+                                 acc += offset + pos[count - 1] + count;
+                             },
+                             SamplerVersion::v2);
+    }
+    benchmark::DoNotOptimize(acc);
+    state.SetItemsProcessed(state.iterations() * kGnmChunkK);
+}
+
+template <typename Sink>
+void gnm_chunk_emit(benchmark::State& state) {
+    Sink sink;
+    Rng rng(7);
+    const er::RowDecoder rows(kGnmChunkWidth, 0, 0, true, sink);
+    for (auto _ : state) {
+        sorted_sample_blocks(rng, kGnmChunkUniverse, kGnmChunkK, rows, SamplerVersion::v2);
+        sink.flush();
+    }
+    state.SetItemsProcessed(state.iterations() * kGnmChunkK);
+}
+
+void GnmChunkV2_NullSink(benchmark::State& state) { gnm_chunk_emit<NullSink>(state); }
+void GnmChunkV2_CountingSink(benchmark::State& state) { gnm_chunk_emit<CountingSink>(state); }
+
 BENCHMARK(Uniform64)->MinTime(0.2)->MinWarmUpTime(0.05);
 BENCHMARK(Binomial_SmallMean_Inversion)->MinTime(0.2)->MinWarmUpTime(0.05);
 BENCHMARK(Binomial_LargeMean_BTRS)->MinTime(0.2)->MinWarmUpTime(0.05);
@@ -135,6 +179,9 @@ BENCHMARK(ExpFill_FusedBranchless)->MinTime(0.2)->MinWarmUpTime(0.05);
 BENCHMARK(SortedSample_V1)->Arg(16)->Arg(16384)->Arg(262144)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
 BENCHMARK(SortedSample_V2)->Arg(16)->Arg(16384)->Arg(262144)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BernoulliSample_V2)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
+BENCHMARK(GnmChunkV2_Sampler)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
+BENCHMARK(GnmChunkV2_NullSink)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
+BENCHMARK(GnmChunkV2_CountingSink)->MinTime(0.5)->MinWarmUpTime(0.1)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
@@ -145,4 +192,7 @@ KAGEN_BENCH_MAIN(
     "# PR 6 adds the sampler-engine ablation: fused vs two-pass Exp(1) "
     "refill, and sorted_sample v1 vs v2 (plus the Gnp geometric-skip path) "
     "on the headline chunk shape — items/s is samples/s, so the v2/v1 "
-    "ratio here is the sampler-only speedup behind the Gnm headline.")
+    "ratio here is the sampler-only speedup behind the Gnm headline.\n"
+    "# GnmChunkV2_{Sampler,NullSink,CountingSink} is a ladder over one "
+    "perfbench gnm_count chunk: the difference between adjacent rungs is "
+    "the cost of the row decoder + sink buffer, then of the counting sink.")

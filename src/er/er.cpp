@@ -25,62 +25,6 @@ struct Blocks {
     u64 span(u64 lo, u64 hi) const { return begin(hi) - begin(lo); }
 };
 
-/// --- Directed -----------------------------------------------------------
-
-/// Decodes a stream of *nondecreasing* sample offsets of a row-major
-/// universe (rows of `width` slots each) into (row, rel-column) pairs
-/// without a u64 division per sample. `sorted_sample` emits offsets in
-/// increasing order, so the row advances monotonically: nearby offsets
-/// resolve with a few adds (amortized O(samples + rows crossed) over a
-/// chunk), and only a jump spanning many rows pays one division — the
-/// emit path's former 20–30 ns/edge divide drops out of the dense case
-/// entirely (DESIGN.md §9). Output is identical by construction.
-class SortedRowDecoder {
-public:
-    explicit SortedRowDecoder(u64 width) : width_(width) {}
-
-    /// (row index, column offset within the row) of `offset`; offsets must
-    /// not decrease between calls on the same decoder.
-    std::pair<u64, u64> decode(u64 offset) {
-        u64 rel = offset - row_start_;
-        if (rel >= width_) {
-            if (rel >= kJumpRows * width_) {
-                // Sparse stream: one division moves the cursor in O(1); no
-                // worse than the old per-sample divide.
-                const u64 skip = rel / width_;
-                row_ += skip;
-                row_start_ += skip * width_;
-                rel -= skip * width_;
-            } else {
-                do {
-                    ++row_;
-                    row_start_ += width_;
-                    rel -= width_;
-                } while (rel >= width_);
-            }
-        }
-        return {row_, rel};
-    }
-
-private:
-    static constexpr u64 kJumpRows = 8; // adds are ~20x cheaper than a divide
-
-    const u64 width_;
-    u64 row_       = 0;
-    u64 row_start_ = 0;
-};
-
-/// Maps a sample offset within a row-block chunk to a directed edge.
-/// Row r of the adjacency matrix has n-1 valid columns (self loop removed).
-void emit_directed(u64 row_begin, SortedRowDecoder& rows, u64 offset, EdgeSink& out) {
-    const auto [r, c] = rows.decode(offset);
-    const u64 row     = row_begin + r;
-    // Branchless diagonal skip (SNIPPETS.md idiom): col >= row is an
-    // unpredictable comparison in the dense regime, so fold it into an add.
-    const u64 col = c + (c >= row ? 1 : 0);
-    out.emit(row, col);
-}
-
 /// --- Undirected chunk materialization ------------------------------------
 
 /// Diagonal chunk (i, i): a triangular universe over the block's vertices.
@@ -109,11 +53,8 @@ void emit_rect_chunk(const Blocks& blocks, u64 i, u64 j, u64 count, u64 seed, Ed
     const u128 uni  = static_cast<u128>(blocks.size(i)) * cols;
     assert(static_cast<u128>(count) <= uni);
     Rng rng = Rng::for_ids(seed, {kTagChunk, i, j});
-    SortedRowDecoder rows(cols);
-    sorted_sample(rng, static_cast<u64>(uni), count, [&](u64 s) {
-        const auto [r, c] = rows.decode(s);
-        out.emit(rbase + r, cbase + c);
-    }, version);
+    sorted_sample_blocks(rng, static_cast<u64>(uni), count,
+                         RowDecoder(cols, rbase, cbase, false, out), version);
 }
 
 void emit_chunk(const Blocks& blocks, u64 i, u64 j, u64 count, u64 seed, EdgeSink& out,
@@ -186,16 +127,43 @@ void descend_triangle(const UTri& ctx, u64 lo, u64 hi, u64 k) {
 
 } // namespace
 
+RowDecoder::RowDecoder(u64 width, u64 row_base, u64 col_base, bool skip_diagonal,
+                       EdgeSink& sink)
+    : width_(width), reciprocal_(width != 0 ? ~u64{0} / width : 0), row_base_(row_base),
+      col_base_(col_base), no_skip_(skip_diagonal ? 0 : ~u64{0}), sink_(&sink) {}
+
+void RowDecoder::operator()(const u64* pos, std::size_t count, u64 offset) const {
+    // Copies in locals: the loop stores through an Edge*, which may alias
+    // any member as far as the compiler knows.
+    const u64 width = width_, reciprocal = reciprocal_, row_base = row_base_,
+              col_base = col_base_, no_skip = no_skip_;
+    sink_->emit_run(count, [&](Edge* out, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            // x < 2^64 and reciprocal >= 2^64 / width - 1, so the estimate
+            // q is x / width or one less, and q * width cannot overflow.
+            const u64 x  = offset + pos[i];
+            u64 q        = static_cast<u64>((static_cast<u128>(x) * reciprocal) >> 64);
+            u64 c        = x - q * width;
+            const u64 up = c >= width;
+            q += up;
+            c -= up * width;
+            const u64 row = row_base + q;
+            // Branchless diagonal skip (SNIPPETS.md idiom): c >= row is an
+            // unpredictable comparison in the dense regime. Without the
+            // skip, row | ~0 is all ones and c never reaches it.
+            out[i] = Edge{row, col_base + c + (c >= (row | no_skip))};
+        }
+        pos += n;
+    });
+}
+
 void gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                   SamplerVersion version) {
     assert(size >= 1 && rank < size); // n, m, p: kagen::validate
     assert(static_cast<u128>(m) <= directed_universe(n));
     ChunkedSampler sampler(seed, make_row_universe(n, size, n - 1), m);
-    const u64 row_begin = block_begin(n, size, rank);
-    SortedRowDecoder rows(n - 1);
-    sampler.sample_chunk(
-        rank, [&](u64 offset) { emit_directed(row_begin, rows, offset, sink); },
-        version);
+    sampler.sample_chunk_blocks(
+        rank, RowDecoder(n - 1, block_begin(n, size, rank), 0, true, sink), version);
     sink.flush();
 }
 
@@ -211,27 +179,23 @@ void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
 void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                   SamplerVersion version) {
     assert(size >= 1 && rank < size); // n, m, p: kagen::validate
-    const u64 row_begin = block_begin(n, size, rank);
     const u128 universe = static_cast<u128>(block_size(n, size, rank)) * (n - 1);
     assert(universe <= static_cast<u128>(~u64{0}));
-    SortedRowDecoder rows(n - 1);
+    const RowDecoder rows(n - 1, block_begin(n, size, rank), 0, true, sink);
     if (version == SamplerVersion::v2) {
         // Geometric-skip fast path: the binomial count + sorted positions of
         // v1 and a single Bernoulli(p) sweep over the universe induce the
         // same product distribution, so v2 fuses them into one stream — no
         // count variate, one exponential per edge.
         Rng rng = Rng::for_ids(seed, {kTagChunk, rank});
-        bernoulli_sample(rng, static_cast<u64>(universe), p, [&](u64 offset) {
-            emit_directed(row_begin, rows, offset, sink);
-        });
+        bernoulli_sample_blocks(rng, static_cast<u64>(universe), p, rows);
         sink.flush();
         return;
     }
     Rng count_rng   = Rng::for_ids(seed, {kTagGnp, rank});
     const u64 count = binomial(count_rng, static_cast<u64>(universe), p);
     Rng rng = Rng::for_ids(seed, {kTagChunk, rank});
-    sorted_sample(rng, static_cast<u64>(universe), count,
-                  [&](u64 offset) { emit_directed(row_begin, rows, offset, sink); });
+    sorted_sample_blocks(rng, static_cast<u64>(universe), count, rows);
     sink.flush();
 }
 
@@ -255,15 +219,11 @@ void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sin
                                      sink.emit(base + r, base + c);
                                  });
             } else {
-                const u64 rbase = blocks.begin(i);
-                const u64 cbase = blocks.begin(j);
-                const u64 cols  = blocks.size(j);
-                const u128 uni  = static_cast<u128>(blocks.size(i)) * cols;
-                SortedRowDecoder rows(cols);
-                bernoulli_sample(rng, static_cast<u64>(uni), p, [&](u64 s) {
-                    const auto [r, c] = rows.decode(s);
-                    sink.emit(rbase + r, cbase + c);
-                });
+                const u64 cols = blocks.size(j);
+                const u128 uni = static_cast<u128>(blocks.size(i)) * cols;
+                bernoulli_sample_blocks(
+                    rng, static_cast<u64>(uni), p,
+                    RowDecoder(cols, blocks.begin(i), blocks.begin(j), false, sink));
             }
         };
         for (u64 j = 0; j <= rank; ++j) emit_bernoulli(rank, j);

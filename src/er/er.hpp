@@ -22,6 +22,8 @@
 /// or on different "machines", yields bit-identical output.
 #pragma once
 
+#include <cstddef>
+
 #include "common/math.hpp"
 #include "common/types.hpp"
 #include "graph/edge_list.hpp"
@@ -44,7 +46,7 @@ inline u128 undirected_universe(u64 n) {
 /// trailing `SamplerVersion` (sampling/sampling.hpp). v1 (default) is the
 /// reference stream. v2 halves each chunk's universe by hypergeometric
 /// splits down to cache-sized leaves and draws every leaf by exponential
-/// spacings; its bytes are ISA-independent and pinned by a golden fixture
+/// spacings; its bytes are ISA-independent and pinned by golden fixtures
 /// like v1's. The chunk geometry, hypergeometric / binomial count layer,
 /// and both-owner stream identity are shared — v1 and v2 agree on *which
 /// chunks hold how many edges*, differing only in the within-chunk
@@ -70,6 +72,35 @@ void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
 /// geometric-skip Bernoulli streams (v2).
 void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version = SamplerVersion::v1);
+
+/// Turns sorted position blocks of a row-major universe (rows of `width`
+/// slots) into edges, written straight into `sink`'s buffer by
+/// `EdgeSink::emit_run`. It is the block consumer of every row-major ER
+/// path: directed G(n,m)/G(n,p) row blocks and the rectangle chunks of the
+/// undirected generators. Position x lies in row x / width at column
+/// x % width and becomes the edge (row_base + row, col_base + column); with
+/// `skip_diagonal` the column is shifted past the row's own vertex, since a
+/// directed row has n - 1 slots (the self loop removed).
+///
+/// Each position is decoded on its own, with no divide and no cursor: the
+/// quotient is the high word of x times floor((2^64 - 1) / width), which
+/// falls short of x / width by at most one, and one compare corrects it.
+class RowDecoder {
+public:
+    RowDecoder(u64 width, u64 row_base, u64 col_base, bool skip_diagonal, EdgeSink& sink);
+
+    /// Block consumer (sampling/sampling.hpp): the positions
+    /// offset + pos[i], i < count, increasing.
+    void operator()(const u64* pos, std::size_t count, u64 offset) const;
+
+private:
+    u64 width_;
+    u64 reciprocal_;
+    u64 row_base_;
+    u64 col_base_;
+    u64 no_skip_; ///< all ones without the diagonal skip, else 0
+    EdgeSink* sink_;
+};
 
 /// Exact-once ownership (sink/ownership.hpp): the undirected generators
 /// partition vertex ids into consecutive blocks of ~n/size per chunk, and

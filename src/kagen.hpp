@@ -135,7 +135,7 @@ struct Config {
     /// down to cache-sized leaves and draws every leaf by exponential
     /// spacings (G(n,p) uses a geometric-skip Bernoulli stream instead). It
     /// samples the same distribution as v1 but a different stream, and its
-    /// bytes are ISA-independent and pinned by a golden fixture too. Both
+    /// bytes are ISA-independent and pinned by golden fixtures too. Both
     /// keep the pure-function-of-(cfg, rank, size) contract, so chunked /
     /// distributed runs stay reproducible under either engine.
     SamplerVersion sampler_version = SamplerVersion::v1;

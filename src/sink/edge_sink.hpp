@@ -24,6 +24,7 @@
 /// (`ordered() == false`) must make `consume` thread-safe themselves.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 
@@ -46,6 +47,25 @@ public:
     }
 
     void emit(const Edge& e) { emit(e.first, e.second); }
+
+    /// Emits a run of `count` edges written in place: `store(out, n)` must
+    /// store the run's next `n` edges at out[0, n). It is called once per
+    /// free stretch of the inline buffer, with 1 <= n <= count, and the
+    /// buffer flushes (and, in external-buffer mode, rebinds) between calls
+    /// exactly as `emit` would, so an `ArenaSink` still receives every edge
+    /// at its final slab address. The writer's loop runs over a plain array
+    /// with its cursor in a register, where `emit` would reload and store
+    /// the sink's fill level once per edge.
+    template <typename Store>
+    void emit_run(std::size_t count, Store&& store) {
+        while (count > 0) {
+            const std::size_t n = std::min(count, capacity_ - fill_);
+            store(buffer_ + fill_, n);
+            fill_ += n;
+            count -= n;
+            if (fill_ == capacity_) flush();
+        }
+    }
 
     /// Drains the inline buffer into `consume`. Idempotent.
     void flush() {

@@ -40,6 +40,7 @@
 
 #include <unistd.h>
 
+#include "er/er.hpp"
 #include "kagen.hpp"
 #include "pe/arena.hpp"
 #include "pe/pe.hpp"
@@ -329,6 +330,35 @@ TEST(AllocGate, SamplerV2MakesNoHeapAllocation) {
     alloc_gate::g_armed.store(false);
     EXPECT_EQ(alloc_gate::g_count.load(), 0u);
     EXPECT_NE(checksum, 0u);
+}
+
+TEST(AllocGate, RowDecoderBlockPathMakesNoHeapAllocation) {
+    // The G(n,m)/G(n,p) emit path, unsuppressed: every engine's position
+    // blocks (v2 leaves with and without top-ups, v2 dense leaves, v1's
+    // stack block, the Bernoulli stream) through the row decoder into a
+    // sink's inline buffer. The sink's buffer is allocated before arming.
+    KAGEN_ALLOC_GATE_SKIP();
+    CountingSink sink;
+    const u64 width = (u64{1} << 20) - 1;
+    const er::RowDecoder rows(width, 0, 0, true, sink);
+    alloc_gate::g_count.store(0);
+    alloc_gate::g_armed.store(true);
+    struct Shape {
+        u64 universe, k;
+    };
+    for (const Shape s : {Shape{width << 10, u64{1} << 16}, Shape{14 * 4096, 4000},
+                          Shape{40000, 4000}}) {
+        for (const SamplerVersion v : {SamplerVersion::v1, SamplerVersion::v2}) {
+            Rng rng(s.universe ^ s.k);
+            sorted_sample_blocks(rng, s.universe, s.k, rows, v);
+        }
+    }
+    Rng rng(3);
+    bernoulli_sample_blocks(rng, width << 10, 1.0 / 4096, rows);
+    sink.flush();
+    alloc_gate::g_armed.store(false);
+    EXPECT_EQ(alloc_gate::g_count.load(), 0u);
+    EXPECT_GT(sink.num_edges(), 2 * (u64{1} << 16));
 }
 
 TEST(AllocGate, RmatPipelineIndependentOfChunksAndEdges) {

@@ -4,10 +4,13 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/math.hpp"
+#include "er/er.hpp"
 #include "graph/stats.hpp"
 #include "kagen.hpp"
+#include "sampling/sampling.hpp"
 #include "testing.hpp"
 
 namespace kagen {
@@ -240,6 +243,157 @@ TEST(ErDegrees, GnmDegreeDistributionIsBinomialLike) {
     const auto edges = edges_of(gnm(Model::GnmUndirected, n, m, 21));
     const auto degs  = degrees(undirected_set(edges), n);
     EXPECT_NEAR(average_degree(degs), 2.0 * m / n, 0.01);
+}
+
+// ---------------------------------------------------------------------------
+// Block row decoder
+// ---------------------------------------------------------------------------
+
+/// Collects edges over a 5-edge inline buffer, so a block's run of edges
+/// splits across many flushes.
+class SmallBufferSink final : public EdgeSink {
+public:
+    SmallBufferSink() : EdgeSink(5) {}
+    EdgeList edges;
+
+private:
+    void consume(const Edge* batch, std::size_t count) override {
+        edges.insert(edges.end(), batch, batch + count);
+    }
+};
+
+struct RowShape {
+    u64 width;
+    u64 row_base;
+    u64 col_base;
+    bool skip_diagonal;
+};
+
+/// The per-position decode the block decoder replaces: x / width, x % width,
+/// then the diagonal skip.
+Edge reference_edge(const RowShape& s, u64 x) {
+    const u64 row = s.row_base + x / s.width;
+    const u64 c   = x % s.width;
+    return {row, s.col_base + c + (s.skip_diagonal && c >= row ? 1 : 0)};
+}
+
+/// Runs `blocks(consume)` once, handing every block to the decoder and each
+/// of its positions to the reference; the two edge streams must agree.
+template <typename Blocks>
+void expect_reference_edges(const RowShape& s, Blocks&& blocks) {
+    SmallBufferSink sink;
+    const er::RowDecoder decoder(s.width, s.row_base, s.col_base, s.skip_diagonal, sink);
+    EdgeList want;
+    blocks([&](const u64* pos, std::size_t count, u64 offset) {
+        for (std::size_t i = 0; i < count; ++i) want.push_back(reference_edge(s, offset + pos[i]));
+        decoder(pos, count, offset);
+    });
+    sink.finish();
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(sink.edges, want) << "width " << s.width;
+}
+
+struct Block {
+    u64 offset;
+    std::vector<u64> pos;
+};
+
+void expect_reference_blocks(const RowShape& s, const std::vector<Block>& blocks) {
+    expect_reference_edges(s, [&](auto&& consume) {
+        for (const Block& b : blocks) consume(b.pos.data(), b.pos.size(), b.offset);
+    });
+}
+
+/// Consecutive positions [first, first + count) as one block at `offset`.
+Block run_at(u64 offset, u64 first, u64 count) {
+    Block b{offset, {}};
+    for (u64 i = 0; i < count; ++i) b.pos.push_back(first + i);
+    return b;
+}
+
+TEST(RowDecoder, MatchesDivideAndModuloOnHandMadeBlocks) {
+    const u64 k32 = u64{1} << 32;
+    for (const u64 w : {u64{1}, u64{2}, u64{3}, u64{7}, u64{8}, u64{9}, u64{1023}, u64{1024},
+                        u64{1025}, k32 - 1, k32, k32 + 1}) {
+        for (const bool skip : {false, true}) {
+            const RowShape s{w, skip ? u64{5} : u64{100}, skip ? u64{0} : u64{7}, skip};
+            expect_reference_blocks(
+                s, std::vector<Block>{
+                       // Starts exactly on row 0's start and runs into row 3.
+                       run_at(0, 0, 3 * std::min<u64>(w, 50) + 2),
+                       // Starts on a row start given by the offset alone.
+                       run_at(10 * w, 0, 4),
+                       // Ends on a row's last slot, then the next row's first.
+                       Block{0, {12 * w - 1, 12 * w}},
+                       // Many rows past the previous block, one position.
+                       Block{1000 * w + w / 2, {0}},
+                       // Sparse: every position in a row of its own.
+                       Block{2000 * w, {0, 9 * w + 1 % w, 400 * w + w - 1, 401 * w}},
+                   });
+        }
+    }
+}
+
+TEST(RowDecoder, RowsWiderThanALeaf) {
+    // A whole 2048-position block inside one row, then one straddling two.
+    const u64 w = (u64{1} << 20) + 3;
+    for (const bool skip : {false, true}) {
+        expect_reference_blocks(RowShape{w, 0, 0, skip},
+                               std::vector<Block>{run_at(5 * w + 17, 0, 2048),
+                                                  run_at(9 * w - 1000, 0, 2048)});
+    }
+}
+
+TEST(RowDecoder, UniversesNearTwoToTheSixtyFour) {
+    // Positions up to 2^64 - 2: the reciprocal estimate is off by one most
+    // often here, and q * width must still not overflow.
+    const u64 top = ~u64{0};
+    const u64 third = top / 3; // three rows span exactly 2^64 - 1 slots
+    expect_reference_blocks(RowShape{third, 0, 0, false},
+                           std::vector<Block>{run_at(0, third - 2, 5),
+                                              run_at(2 * third - 3, 0, 6),
+                                              Block{3 * third - 4, {0, 1, 2, 3}}});
+    expect_reference_blocks(RowShape{top, 0, 0, true},
+                           std::vector<Block>{Block{top - 6, {0, 1, 2, 3, 4, 5}}});
+    const u64 w = (u64{1} << 32) + 1; // 2^32 - 1 rows fit below 2^64
+    expect_reference_blocks(RowShape{w, 3, 0, true},
+                           std::vector<Block>{run_at(((u64{1} << 32) - 2) * w - 3, 0, 7),
+                                              Block{((u64{1} << 32) - 1) * w - 4, {0, 1, 2, 3}}});
+}
+
+TEST(RowDecoder, MatchesReferenceOnSampledStreams) {
+    // The decoder against the reference on the blocks the engines really
+    // produce: v1 (Method D and Method A), v2 (sparse and dense leaves, with
+    // duplicate top-ups, and a halving split) and the Bernoulli stream.
+    struct Draw {
+        u64 width, rows, k;
+    };
+    for (const Draw d : {Draw{1, 5000, 3000}, Draw{2, 3000, 100}, Draw{1023, 64, 5000},
+                         Draw{1025, 4096, 9000}, Draw{(u64{1} << 21) + 1, 300, 4000}}) {
+        const u64 universe = d.width * d.rows;
+        for (const SamplerVersion version : {SamplerVersion::v1, SamplerVersion::v2}) {
+            Rng rng(d.width * 31 + d.k);
+            expect_reference_edges(RowShape{d.width, 11, 0, true}, [&](auto&& consume) {
+                sorted_sample_blocks(rng, universe, d.k, consume, version);
+            });
+        }
+        Rng rng(d.width + 5);
+        const double p = static_cast<double>(d.k) / static_cast<double>(universe);
+        expect_reference_edges(RowShape{d.width, 40, 9, false}, [&](auto&& consume) {
+            bernoulli_sample_blocks(rng, universe, p, consume);
+        });
+    }
+}
+
+TEST(RowDecoder, DenseLeafWithDuplicateTopUps) {
+    // u = 1000, k = 400: about 80 colliding spacings per leaf, so the leaf
+    // tops up and hands over its merged block, not its own array.
+    for (u64 seed = 0; seed < 20; ++seed) {
+        Rng rng(seed);
+        expect_reference_edges(RowShape{33, 2, 0, true}, [&](auto&& consume) {
+            detail::spacings_leaf(rng, 1000, 400, 64, consume);
+        });
+    }
 }
 
 } // namespace

@@ -3,8 +3,8 @@
 // (v1) output for a pinned (model, params, seed, rank, size) must never
 // move by a single byte, or silently re-generated datasets stop matching
 // published ones. These fixtures freeze a small instance of every Model
-// (both RHG generators), plus one G(n,m) instance under sampler v2, whose
-// bytes are pinned too; the byte-identity sweeps in
+// (both RHG generators), plus the four row-major ER instances under
+// sampler v2, whose bytes are pinned too; the byte-identity sweeps in
 // test_er/test_dist cover self-consistency, this suite covers consistency
 // *across commits*.
 //
@@ -82,6 +82,15 @@ const GoldenCase kCases[] = {
      0.0, 0.0, 9, 1, 2},
     // BA with the default ba_degree = 4: pins the dependency-chain resolve.
     {"ba_n2048_d4_s7_r1of2.bin", Model::Ba, 2048, 0, 0.0, 0.0, 7, 1, 2},
+    // Sampler v2 on the other row-major ER paths, which share the block row
+    // decoder with directed G(n,m): the undirected rectangle chunks, the
+    // directed geometric-skip stream and the undirected per-chunk streams.
+    {"gnm_undirected_n2048_m4096_s7_r1of2_v2.bin", Model::GnmUndirected, 2048,
+     4096, 0.0, 0.0, 7, 1, 2, 8.0, 3.0, EdgeSemantics::as_generated, SamplerVersion::v2},
+    {"gnp_directed_n2048_p0.001_s11_r0of2_v2.bin", Model::GnpDirected, 2048, 0,
+     0.001, 0.0, 11, 0, 2, 8.0, 3.0, EdgeSemantics::as_generated, SamplerVersion::v2},
+    {"gnp_undirected_n2048_p0.002_s11_r1of2_v2.bin", Model::GnpUndirected, 2048, 0,
+     0.002, 0.0, 11, 1, 2, 8.0, 3.0, EdgeSemantics::as_generated, SamplerVersion::v2},
 };
 
 std::string golden_path(const char* file) {

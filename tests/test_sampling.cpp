@@ -1,7 +1,7 @@
 // Sampling without replacement: Floyd, Vitter (A + D), and the distributed
 // divide-and-conquer chunk sampler (uniformity, determinism, PE-consistency).
 // The SamplerV2* and BernoulliSample suites are the acceptance gate of the
-// v2 engine (DESIGN.md §10). Its bytes are pinned by one golden fixture;
+// v2 engine (DESIGN.md §10). Its bytes are pinned by golden fixtures;
 // these pin its *distribution* — exact first-position law (chi-square +
 // KS), uniform inclusion (sparse leaves, the duplicate top-up of dense
 // leaves, both sides of a split, low bits of huge universes),
@@ -357,8 +357,10 @@ TEST(SamplerV2Stat, SpacingsLeafIsUniformOverAllSubsets) {
         for (u64 r = 0; r < runs; ++r) {
             Rng rng(r * 6364136223846793005ull + universe);
             std::vector<u64> out;
-            auto emit = [&](u64 x) { out.push_back(x); };
-            detail::spacings_leaf(rng, universe, k, 0, emit);
+            auto consume = [&](const u64* pos, std::size_t count, u64 offset) {
+                for (std::size_t i = 0; i < count; ++i) out.push_back(offset + pos[i]);
+            };
+            detail::spacings_leaf(rng, universe, k, 0, consume);
             ASSERT_TRUE(valid_sample(out, universe, k)) << "run " << r;
             u64 mask = 0;
             for (u64 x : out) mask |= u64{1} << x;
@@ -423,6 +425,51 @@ TEST(SamplerV2Stat, InclusionUniformAcrossTheSplit) {
     const double var  = kK * p * (1 - p) * (kUniverse - kK) / (kUniverse - 1.0);
     const double mean = kRuns * kK * p;
     EXPECT_NEAR(left_total, mean, 6.0 * std::sqrt(kRuns * var));
+}
+
+/// Checks the block contract of sampling.hpp over one draw: every block
+/// holds 1..kSpacingsLeafSamples positions, and all positions, across
+/// blocks, increase and stay below `universe`. Returns them.
+template <typename Draw>
+std::vector<u64> checked_blocks(u64 universe, Draw&& draw) {
+    std::vector<u64> out;
+    draw([&](const u64* pos, std::size_t count, u64 offset) {
+        ASSERT_GE(count, 1u);
+        ASSERT_LE(count, detail::kSpacingsLeafSamples);
+        for (std::size_t i = 0; i < count; ++i) {
+            const u64 x = offset + pos[i];
+            ASSERT_LT(x, universe);
+            if (!out.empty()) {
+                ASSERT_LT(out.back(), x);
+            }
+            out.push_back(x);
+        }
+    });
+    return out;
+}
+
+TEST(SampleBlocks, BoundedIncreasingBlocksForEveryEngine) {
+    // Method D with its Method A tail (v1), the full universe, v2's sparse
+    // and dense leaves across halving splits, and the Bernoulli stream
+    // including p = 1, each longer than one block.
+    const SortedCase cases[] = {{u64{1} << 40, 9000}, {20000, 9000}, {5000, 5000},
+                                {u64{1} << 60, 5000}, {30000, 2049}};
+    for (const auto [universe, k] : cases) {
+        for (const SamplerVersion v : {SamplerVersion::v1, SamplerVersion::v2}) {
+            Rng rng(universe + k);
+            const auto out = checked_blocks(universe, [&](auto&& consume) {
+                sorted_sample_blocks(rng, universe, k, consume, v);
+            });
+            EXPECT_EQ(out.size(), k) << "u=" << universe << " k=" << k;
+        }
+    }
+    for (const double p : {0.001, 0.3, 1.0}) {
+        Rng rng(17);
+        const auto out = checked_blocks(100000, [&](auto&& consume) {
+            bernoulli_sample_blocks(rng, 100000, p, consume);
+        });
+        EXPECT_GT(out.size(), 2 * detail::kSpacingsLeafSamples * p) << "p=" << p;
+    }
 }
 
 TEST(BernoulliSample, EdgeCases) {

@@ -55,6 +55,64 @@ TEST(CountingSink, CountsEdgesAndSelfLoops) {
     EXPECT_EQ(sink.num_self_loops(), 2u);
 }
 
+TEST(CountingSink, CountsSelfLoopsExactly) {
+    // Batch sizes around the four-way unrolled count: empty, shorter than
+    // one round, and one past the default buffer, with self loops at both
+    // ends of each batch and every seventh edge in between.
+    for (const std::size_t size : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                   std::size_t{4097}}) {
+        EdgeList batch;
+        u64 loops = 0;
+        for (std::size_t i = 0; i < size; ++i) {
+            const bool loop = i == 0 || i + 1 == size || i % 7 == 3;
+            batch.emplace_back(i, loop ? i : i + 1);
+            loops += loop;
+        }
+        CountingSink delivered;
+        delivered.deliver(batch.data(), batch.size());
+        EXPECT_EQ(delivered.num_edges(), size) << "size " << size;
+        EXPECT_EQ(delivered.num_self_loops(), loops) << "size " << size;
+
+        CountingSink emitted;
+        for (const auto& e : batch) emitted.emit(e);
+        emitted.finish();
+        EXPECT_EQ(emitted.num_edges(), size) << "size " << size;
+        EXPECT_EQ(emitted.num_self_loops(), loops) << "size " << size;
+    }
+}
+
+/// Records every batch `consume` receives, over a tiny inline buffer.
+class BatchLog final : public EdgeSink {
+public:
+    explicit BatchLog(std::size_t capacity) : EdgeSink(capacity) {}
+    std::vector<EdgeList> batches;
+
+private:
+    void consume(const Edge* edges, std::size_t count) override {
+        batches.emplace_back(edges, edges + count);
+    }
+};
+
+TEST(EdgeSink, EmitRunDeliversTheBatchesOfEmit) {
+    // Runs shorter than, equal to and spanning several 3-edge buffers,
+    // starting at every fill level the previous run leaves behind.
+    const EdgeList edges = some_edges(40);
+    BatchLog by_edge(3), by_run(3);
+    for (const auto& e : edges) by_edge.emit(e);
+    std::size_t next = 0;
+    for (const std::size_t run : {0, 1, 2, 3, 7, 1, 9, 0, 17}) {
+        by_run.emit_run(run, [&](Edge* out, std::size_t n) {
+            ASSERT_GE(n, 1u);
+            ASSERT_LE(n, 3u);
+            for (std::size_t i = 0; i < n; ++i) out[i] = edges[next++];
+        });
+    }
+    ASSERT_EQ(next, edges.size());
+    by_edge.finish();
+    by_run.finish();
+    EXPECT_EQ(by_run.batches, by_edge.batches);
+}
+
 TEST(DegreeStatsSink, MatchesMaterializedDegrees) {
     const EdgeList edges = some_edges(3000);
     DegreeStatsSink sink(100);
