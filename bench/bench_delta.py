@@ -6,6 +6,11 @@ Usage: bench_delta.py [--fail-above PCT] BASELINE.json CURRENT.json [...CURRENT.
 Matches benchmarks by name and prints real_time and the Medges/s counter
 side by side with the relative change.
 
+A delta means something only between runs on one host. The script compares
+the google-benchmark `context` of every file (host_name, num_cpus and
+caches). When they differ it prints a CROSS-HOST banner naming the fields,
+and under --fail-above it refuses the comparison (exit 1).
+
 By default the exit code is 0 — the CI perf-smoke job is explicitly
 non-gating (shared runners are far too noisy to fail a build on), the
 point is a readable trend line next to the committed BENCH_6.json
@@ -19,13 +24,27 @@ import json
 import sys
 
 
+HOST_FIELDS = ("host_name", "num_cpus", "caches")
+
+
 def load(path):
     with open(path) as f:
         data = json.load(f)
     out = {}
     for b in data.get("benchmarks", []):
         out[b["name"]] = b
-    return out
+    return data.get("context", {}), out
+
+
+def host_differences(base, other):
+    """Names of the HOST_FIELDS on which two benchmark contexts differ."""
+    diffs = []
+    for field in HOST_FIELDS:
+        a, b = base.get(field), other.get(field)
+        if a != b:
+            shown = "differ" if field == "caches" else f"{a} != {b}"
+            diffs.append(f"{field} {shown}")
+    return diffs
 
 
 def fmt_rate(bench):
@@ -43,10 +62,23 @@ def main():
     parser.add_argument("current", nargs="+", help="current result JSON(s)")
     args = parser.parse_args()
 
-    baseline = load(args.baseline)
-    current = {}
+    base_context, baseline = load(args.baseline)
+    current, diffs = {}, []
     for path in args.current:
-        current.update(load(path))
+        context, benches = load(path)
+        current.update(benches)
+        diffs += [f"{path}: {d}" for d in host_differences(base_context, context)]
+
+    if diffs:
+        print("CROSS-HOST: these files do not come from one host; deltas mix "
+              "hardware with code changes:")
+        for d in diffs:
+            print("  " + d)
+        if args.fail_above is not None:
+            print("REFUSED: --fail-above gates only runs from one host",
+                  file=sys.stderr)
+            return 1
+        print()
 
     regressions = []
     print(f"{'benchmark':55s} {'base_ms':>9s} {'now_ms':>9s} {'d_time':>8s} "

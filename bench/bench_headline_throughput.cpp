@@ -258,12 +258,13 @@ void FileSinkThroughput(benchmark::State& state) {
     const u64 P = 4;
 
     Config cfg;
-    cfg.model             = Model::GnmDirected;
-    cfg.n                 = u64{1} << 18;
-    cfg.m                 = u64{1} << 22;
-    cfg.seed              = 3;
-    cfg.chunks_per_pe     = 4;
-    cfg.sink_buffer_edges = state.range(0) == 0 ? 0 : 1024;
+    cfg.model         = Model::GnmDirected;
+    cfg.n             = u64{1} << 18;
+    cfg.m             = u64{1} << 22;
+    cfg.seed          = 3;
+    cfg.chunks_per_pe = 4;
+    const std::size_t buffer_edges =
+        state.range(0) == 0 ? EdgeSink::kDefaultBufferEdges : 1024;
 
     const std::string out = "/tmp/kagen_bench_file_sink_throughput.bin";
     {
@@ -274,7 +275,7 @@ void FileSinkThroughput(benchmark::State& state) {
     ChunkStats stats;
     u64 edges = 0, bytes = 0;
     for (auto _ : state) {
-        BinaryFileSink sink(out, static_cast<std::size_t>(cfg.sink_buffer_edges));
+        BinaryFileSink sink(out, buffer_edges);
         stats = generate_chunked(cfg, P, sink);
         sink.finish();
         t     = stats.seconds;
@@ -286,10 +287,7 @@ void FileSinkThroughput(benchmark::State& state) {
     state.counters["PEs"]               = static_cast<double>(P);
     state.counters["edges"]             = static_cast<double>(edges);
     state.counters["bytes_written"]     = static_cast<double>(bytes);
-    state.counters["buffers_recycled"]  = static_cast<double>(stats.buffers_recycled);
-    state.counters["sink_buffer_edges"] = static_cast<double>(
-        cfg.sink_buffer_edges == 0 ? EdgeSink::kDefaultBufferEdges
-                                   : cfg.sink_buffer_edges);
+    state.counters["sink_buffer_edges"] = static_cast<double>(buffer_edges);
     state.counters["makespan_s"]        = t;
     state.counters["Medges/s"]          = static_cast<double>(edges) / t / 1e6;
     state.counters["MB_written/s"]      = static_cast<double>(bytes) / t / 1e6;

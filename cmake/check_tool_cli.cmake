@@ -5,14 +5,17 @@
 # Each case pins one of the front-end hardening guarantees:
 #   * non-numeric / scientific-notation / negative values are rejected
 #     ("-n banana" used to run with n=0, "-n 1e6" with n=1)
-#   * booleans accept only 0|1|true|false ("-pin-threads yes" used to
-#     silently DISABLE pinning)
+#   * booleans accept only 0|1|true|false ("-keep-rank-files yes" used to
+#     silently mean false)
 #   * a trailing flag with no value is an error (the old loop dropped it)
 #   * fractional ba attachment degrees are rejected, not truncated
 #   * contradictory mode combinations are rejected up front
+#   * removed flags (-sink-buffer-edges, -pin-threads, -arena-slab-bytes)
+#     are unknown, not silently ignored
 #   * well-formed values that describe no graph (m beyond the vertex pairs,
-#     p outside [0, 1], RHG gamma <= 2 or avg_deg <= 0) exit 1 with an
-#     "error:" line naming the field
+#     p outside [0, 1], a negative RGG radius, RHG gamma <= 2 or
+#     avg_deg <= 0, BA 2*n*d past 2^64) exit 1 with an "error:" line
+#     naming the field
 if(NOT DEFINED TOOL)
     message(FATAL_ERROR "pass -DTOOL=<path to example_kagen_tool>")
 endif()
@@ -25,17 +28,21 @@ set(CASES
     "invalid value '1e6'|gnm_undirected -n 1e6"
     "invalid value '-5'|gnm_undirected -n -5"
     "invalid value '12abc'|gnm_undirected -m 12abc"
-    "invalid value 'banana'|gnm_undirected -arena-slab-bytes banana"
-    "invalid value '-4096'|gnm_undirected -arena-slab-bytes -4096"
-    "missing its value|gnm_undirected -arena-slab-bytes"
+    "invalid value 'banana'|gnm_undirected -max-buffered-bytes banana"
+    "invalid value '-4096'|gnm_undirected -max-buffered-bytes -4096"
+    "missing its value|gnm_undirected -max-buffered-bytes"
     "expected a finite number|gnp_undirected -p high"
     "expected a finite number|rgg2d -r 0.1oops"
     "attachment degree|ba -d 2.5"
-    "expected 0|1|true|false|gnm_undirected -pin-threads yes"
+    "below 2^64 for ba|ba -n 10 -d 1e30 -sink count"
+    "expected 0|1|true|false|gnm_undirected -keep-rank-files yes"
     "expected 0|1|true|false|gnm_undirected -keep-rank-files maybe"
     "missing its value|gnm_undirected -sink file -o"
     "missing its value|gnm_undirected -n"
     "unknown flag '-frobnicate'|gnm_undirected -frobnicate 1"
+    "unknown flag '-sink-buffer-edges'|gnm_undirected -sink count -sink-buffer-edges 1024"
+    "unknown flag '-pin-threads'|gnm_undirected -sink count -pin-threads 1"
+    "unknown flag '-arena-slab-bytes'|gnm_undirected -sink count -arena-slab-bytes 4096"
     "unknown model 'nope'|nope"
     "unknown sampler 'v3'|gnm_undirected -sampler v3"
     "unknown semantics 'sometimes'|gnm_undirected -edge-semantics sometimes"
@@ -95,6 +102,9 @@ set(INVALID_CASES
     "error: kagen: rhg: avg_deg = -3|rhg -d -3 -sink count"
     "error: kagen: gnp_directed: p = 1.5|gnp_directed -p 1.5 -sink count"
     "error: kagen: gnp_directed: p = -1|gnp_directed -p -1 -sink count"
+    "error: kagen: rgg2d: r = -1|rgg2d -n 100 -r -1 -sink count"
+    "error: kagen: rgg3d: r = -1|rgg3d -n 100 -r -1 -sink count -ranks 2"
+    "error: kagen: ba: ba_degree = 10000000000000000000|ba -n 10 -d 1e19 -sink count"
 )
 foreach(case IN LISTS INVALID_CASES)
     string(FIND "${case}" "|" SPLIT REVERSE)
@@ -144,6 +154,33 @@ foreach(args "gnm_directed;-n;1;-m;0" "gnm_undirected;-n;0;-m;0"
                     TIMEOUT 30)
     if(NOT RC EQUAL 0)
         message(FATAL_ERROR "valid '${args}' must be accepted, got ${RC}: ${ERR}")
+    endif()
+endforeach()
+# Radii at and far past the unit cube's diagonal: the complete graph on
+# n = 100 (4950 edges), in well under the timeout. These used to loop over
+# (2*halo+1)^D cell offsets for minutes, or, at 1e300, overflow the halo
+# cast and print 0 edges. A degree-0 BA graph is empty, not an abort.
+foreach(case "edges[exact_once]=4950|rgg2d;-r;2"
+             "edges[exact_once]=4950|rgg2d;-r;1e5"
+             "edges[exact_once]=4950|rgg2d;-r;1e10"
+             "edges[exact_once]=4950|rgg2d;-r;1e300"
+             "edges[exact_once]=4950|rgg3d;-r;1e10"
+             "edges[exact_once]=4950|rgg3d;-r;1e300"
+             "edges[exact_once]=0|ba;-d;0")
+    string(FIND "${case}" "|" SPLIT)
+    string(SUBSTRING "${case}" 0 ${SPLIT} PATTERN)
+    math(EXPR ARGS_AT "${SPLIT} + 1")
+    string(SUBSTRING "${case}" ${ARGS_AT} -1 ARGS)
+    execute_process(COMMAND ${TOOL} ${ARGS} -n 100 -sink count
+                            -edge-semantics exact_once -pes 3
+                    OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE RC
+                    TIMEOUT 30)
+    if(NOT RC EQUAL 0)
+        message(FATAL_ERROR "valid '${ARGS}' must be accepted, got ${RC}: ${ERR}")
+    endif()
+    string(FIND "${OUT}" "${PATTERN}" AT)
+    if(AT EQUAL -1)
+        message(FATAL_ERROR "'${ARGS}' must print ${PATTERN}, got: ${OUT}")
     endif()
 endforeach()
 

@@ -20,8 +20,7 @@ set(EXPECTED_FLAGS
     -n -m -p -r -d -g -s -sampler
     -rank -size -o
     -sink -pes -chunks-per-pe -chunks -edge-semantics
-    -sink-buffer-edges -pin-threads
-    -max-buffered-bytes -spill-path -arena-slab-bytes
+    -max-buffered-bytes -spill-path
     -dedup-out -sort-memory
     -ranks -threads-per-rank -keep-rank-files
     -listen -connect -expect-workers -manifest -net-timeout -net-deadline
@@ -32,7 +31,6 @@ set(EXPECTED_GROUPS
     "Model parameters"
     "Per-PE path"
     "Chunked engine"
-    "Hot path / affinity"
     "Ordered delivery / spill window"
     "External-memory dedup"
     "Distributed backend"

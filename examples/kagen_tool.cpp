@@ -100,22 +100,12 @@ void print_help(std::FILE* out, const char* argv0) {
         "              applies the lower-endpoint ownership tie-break so every\n"
         "              edge is emitted exactly once across all chunks\n"
         "\n"
-        "Hot path / affinity (DESIGN.md section 9):\n"
-        "  -sink-buffer-edges N   inline emit-buffer capacity in edges for the\n"
-        "              streaming sinks (default 4096); batches reach the file\n"
-        "              sink as single bulk writes of this many edges\n"
-        "  -pin-threads 1   pin pool worker threads to distinct CPUs\n"
-        "              (affinity-aware scheduling; sticky for the process)\n"
-        "\n"
         "Ordered delivery / spill window:\n"
         "  -max-buffered-bytes B   byte budget for chunks completing ahead of\n"
         "              the delivery cursor; past it they spill to disk and\n"
         "              replay in order (0 = unbounded). Output is identical;\n"
         "              peak memory is B + one chunk\n"
         "  -spill-path FILE   spill scratch location (default: anonymous $TMPDIR)\n"
-        "  -arena-slab-bytes B   per-slab size of the chunk arena backing the\n"
-        "              ordered multi-worker path (default 1 MiB). Memory layout\n"
-        "              only: output is byte-identical for every value\n"
         "\n"
         "External-memory dedup (after -sink file or -ranks ... -sink file):\n"
         "  -dedup-out FILE    sort/dedup pass to FILE — the canonical\n"
@@ -178,8 +168,8 @@ Model parse_model(const std::string& name) {
 
 // ---- strict flag-value parsing -------------------------------------------
 // The old parser fed every value straight into strtoull/strtod with no
-// checks: "-n banana" ran with n=0, "-n 1e6" with n=1, "-pin-threads yes"
-// silently DISABLED pinning. Each helper rejects empty values, non-numeric
+// checks: "-n banana" ran with n=0, "-n 1e6" with n=1, "-keep-rank-files
+// yes" silently meant false. Each helper rejects empty values, non-numeric
 // junk, trailing garbage, range overflow, and (for u64) negative input, and
 // exits 2 naming the flag — malformed input must never half-run.
 
@@ -311,7 +301,7 @@ int run_distributed_sink(const Config& cfg, const std::string& kind, u64 ranks,
     // gather streams every byte, so its line has no verdict to print.
     std::printf("model=%s n=%llu edges[%s]=%llu -> %s (binary) %s=%llu "
                 "chunks=%llu seconds=%.6f peak_buffered_bytes=%llu "
-                "spilled_chunks=%llu spilled_bytes=%llu buffers_recycled=%llu "
+                "spilled_chunks=%llu spilled_bytes=%llu "
                 "merged_bytes=%llu copy_file_range_bytes=%llu%s\n",
                 model_name(cfg.model), static_cast<unsigned long long>(res.n),
                 semantics_name(cfg.edge_semantics),
@@ -321,7 +311,6 @@ int run_distributed_sink(const Config& cfg, const std::string& kind, u64 ranks,
                 static_cast<unsigned long long>(res.peak_buffered_bytes),
                 static_cast<unsigned long long>(res.spilled_chunks),
                 static_cast<unsigned long long>(res.spilled_bytes),
-                static_cast<unsigned long long>(res.buffers_recycled),
                 static_cast<unsigned long long>(res.merged_bytes),
                 static_cast<unsigned long long>(res.copy_file_range_bytes),
                 tcp ? "" : res.copy_file_range_used() ? " copy_file_range_used=1"
@@ -408,13 +397,12 @@ int run_chunked_sink(const Config& cfg, const std::string& kind, u64 pes,
             std::fprintf(stderr, "-sink file requires -o FILE\n");
             return 2;
         }
-        BinaryFileSink sink(out_path,
-                            static_cast<std::size_t>(cfg.sink_buffer_edges));
+        BinaryFileSink sink(out_path);
         const ChunkStats stats = generate_chunked(cfg, pes, sink);
         sink.finish();
         std::printf("model=%s n=%llu edges[%s]=%llu -> %s (binary) chunks=%llu "
                     "seconds=%.6f peak_buffered_bytes=%llu spilled_chunks=%llu "
-                    "spilled_bytes=%llu bytes_written=%llu buffers_recycled=%llu\n",
+                    "spilled_bytes=%llu bytes_written=%llu\n",
                     model_name(cfg.model), static_cast<unsigned long long>(n),
                     semantics_name(cfg.edge_semantics),
                     static_cast<unsigned long long>(sink.num_edges()), out_path,
@@ -422,8 +410,7 @@ int run_chunked_sink(const Config& cfg, const std::string& kind, u64 pes,
                     static_cast<unsigned long long>(stats.peak_buffered_bytes),
                     static_cast<unsigned long long>(stats.spilled_chunks),
                     static_cast<unsigned long long>(stats.spilled_bytes),
-                    static_cast<unsigned long long>(sink.bytes_written()),
-                    static_cast<unsigned long long>(stats.buffers_recycled));
+                    static_cast<unsigned long long>(sink.bytes_written()));
         if (dedup_out != nullptr) {
             // External-memory dedup: canonical undirected edge set of the
             // file just written, at bounded memory — union_undirected for
@@ -531,11 +518,13 @@ int main(int argc, char** argv) {
             cfg.avg_deg = parse_f64(flag, val);
             if (cfg.model == Model::Ba) {
                 // strtoull used to TRUNCATE "-d 2.5" to an attachment degree
-                // of 2 — a different graph than the one asked for.
-                if (cfg.avg_deg < 0.0 ||
+                // of 2 — a different graph than the one asked for — and a
+                // value at or past 2^64 makes the cast below undefined.
+                if (cfg.avg_deg < 0.0 || cfg.avg_deg >= 0x1p64 ||
                     cfg.avg_deg != std::floor(cfg.avg_deg)) {
                     bad_value(flag, val,
-                              "a non-negative integer attachment degree for ba");
+                              "a non-negative integer attachment degree below "
+                              "2^64 for ba");
                 }
                 cfg.ba_degree = static_cast<u64>(cfg.avg_deg);
             }
@@ -562,15 +551,9 @@ int main(int argc, char** argv) {
             threads_per_rank = parse_u64(flag, val);
         else if (flag == "-keep-rank-files")
             keep_rank_files = parse_bool(flag, val);
-        else if (flag == "-sink-buffer-edges")
-            cfg.sink_buffer_edges = parse_u64(flag, val);
-        else if (flag == "-pin-threads")
-            cfg.pin_threads = parse_bool(flag, val);
         else if (flag == "-max-buffered-bytes")
             cfg.max_buffered_bytes = parse_u64(flag, val);
         else if (flag == "-spill-path") cfg.spill_path = val;
-        else if (flag == "-arena-slab-bytes")
-            cfg.arena_slab_bytes = parse_u64(flag, val);
         else if (flag == "-dedup-out") dedup_out = val;
         else if (flag == "-sort-memory") sort_memory = parse_u64(flag, val);
         else if (flag == "-edge-semantics") {

@@ -1,7 +1,5 @@
 #include "ba/ba.hpp"
 
-#include <cassert>
-
 #include "common/math.hpp"
 #include "prng/spooky.hpp"
 
@@ -33,7 +31,7 @@ VertexId resolve(const Params& params, u64 position) {
 }
 
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
-    assert(params.degree >= 1);
+    // degree == 0 is the empty graph: the loop below never resolves.
     const u64 v_begin = block_begin(params.n, size, rank);
     const u64 v_end   = block_begin(params.n, size, rank + 1);
     for (u64 v = v_begin; v < v_end; ++v) {

@@ -14,8 +14,6 @@ void put_chunk_run_stats(std::vector<u8>& out, const pe::ChunkRunStats& s) {
     bytes::put_u64(out, s.peak_buffered_bytes);
     bytes::put_u64(out, s.spilled_chunks);
     bytes::put_u64(out, s.spilled_bytes);
-    bytes::put_u64(out, s.buffers_recycled);
-    bytes::put_u64(out, s.buffers_allocated);
 }
 
 pe::ChunkRunStats get_chunk_run_stats(const u8*& p, const u8* end) {
@@ -26,8 +24,6 @@ pe::ChunkRunStats get_chunk_run_stats(const u8*& p, const u8* end) {
     s.peak_buffered_bytes = bytes::get_u64(p, end);
     s.spilled_chunks      = bytes::get_u64(p, end);
     s.spilled_bytes       = bytes::get_u64(p, end);
-    s.buffers_recycled    = bytes::get_u64(p, end);
-    s.buffers_allocated   = bytes::get_u64(p, end);
     return s;
 }
 

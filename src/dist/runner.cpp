@@ -79,7 +79,7 @@ int wait_for(pid_t pid) {
 /// forks, and runs the worker session in the child, which never returns —
 /// it leaves via _exit so it cannot run the coordinator's atexit handlers
 /// or flush inherited stdio buffers twice.
-net::RankLink fork_rank(const Config& cfg, const DistOptions& opt, u64 r,
+net::RankLink fork_rank(const DistOptions& opt, u64 r,
                         const std::string& rank_prefix,
                         std::vector<net::RankLink>& earlier,
                         std::vector<pid_t>& pids) {
@@ -104,7 +104,7 @@ net::RankLink fork_rank(const Config& cfg, const DistOptions& opt, u64 r,
             net::NetWorkerOptions wopt;
             wopt.connect_timeout_ms = 0; // a dead local coordinator reads as EOF
             wopt.rank_hook          = opt.rank_hook;
-            code = net::run_worker_session(child, wopt, rank_prefix, &cfg);
+            code = net::run_worker_session(child, wopt, rank_prefix);
         } catch (...) {
             code = 1; // coordinator gone; nothing left to report to
         }
@@ -129,8 +129,7 @@ RankReport execute_rank_job(const Config& cfg, const RankJob& job) {
 
     std::unique_ptr<BinaryFileSink> file;
     if (!job.rank_path.empty()) {
-        file = std::make_unique<BinaryFileSink>(
-            job.rank_path, static_cast<std::size_t>(cfg.sink_buffer_edges));
+        file = std::make_unique<BinaryFileSink>(job.rank_path);
     }
     CountingSink count(cfg.edge_semantics);
     std::unique_ptr<DegreeStatsSink> degrees;
@@ -148,8 +147,6 @@ RankReport execute_rank_job(const Config& cfg, const RankJob& job) {
         copt.chunk_begin        = job.chunk_begin;
         copt.chunk_end          = job.chunk_end;
         copt.max_buffered_bytes = cfg.max_buffered_bytes;
-        copt.arena_slab_bytes   = cfg.arena_slab_bytes;
-        copt.pin_threads        = cfg.pin_threads;
         copt.deal_granularity   = chunk_deal_granularity(cfg);
         if (!cfg.spill_path.empty()) {
             // Each rank needs its own scratch file, not a shared name.
@@ -218,7 +215,7 @@ DistResult run_distributed(const Config& cfg, const DistOptions& opts) {
         std::fflush(stderr);
         std::vector<net::RankLink> links;
         for (u64 r = 0; r < ranks; ++r) {
-            links.push_back(fork_rank(cfg, opts, r, rank_prefix, links, pids));
+            links.push_back(fork_rank(opts, r, rank_prefix, links, pids));
         }
         return links;
     };

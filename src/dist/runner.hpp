@@ -53,9 +53,7 @@ namespace dist {
 
 /// Execution shape of a distributed run.
 struct DistOptions {
-    u64 num_ranks = 0;        ///< worker processes; 0 = 1 here — the
-                              ///< `kagen::generate_distributed` facade maps
-                              ///< 0 to `Config::num_processes` before calling
+    u64 num_ranks = 0;        ///< worker processes; 0 = 1
     u64 num_pes   = 0;        ///< simulated PEs P of the decomposition
                               ///< (C = chunks_per_pe·P unless total_chunks
                               ///< pins it); 0 = num_ranks. The graph depends
@@ -110,7 +108,6 @@ struct DistResult {
     u64 peak_buffered_bytes = 0;   ///< max over ranks
     u64 spilled_chunks      = 0;   ///< summed over ranks
     u64 spilled_bytes       = 0;   ///< summed over ranks
-    u64 buffers_recycled    = 0;   ///< summed over ranks (chunk-buffer pool)
 
     u64 edges_written = 0; ///< edges in the merged output file (0 = none,
                            ///< also for a manifest run)

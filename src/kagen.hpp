@@ -98,36 +98,6 @@ struct Config {
     /// Spill scratch location; empty = anonymous temp file under $TMPDIR.
     std::string spill_path;
 
-    /// Per-slab size of the chunk arena backing the ordered multi-worker
-    /// path (pe/arena.hpp; tool: -arena-slab-bytes). 0 = the arena default
-    /// (1 MiB). Memory layout only — the output stream is byte-identical
-    /// for every value, so like trace_path/metrics_path this field is
-    /// deliberately NOT part of `encode_config`: it cannot change the
-    /// graph, hence it must not change the config's content-address (TCP
-    /// workers simply use their local setting).
-    u64 arena_slab_bytes = 0;
-
-    /// Inline emit-buffer capacity (edges) for sinks the library constructs
-    /// on the caller's behalf — the per-rank BinaryFileSink of the
-    /// distributed backend in particular. 0 = EdgeSink::kDefaultBufferEdges.
-    /// Sinks the caller constructs directly take the same knob as a
-    /// constructor argument (tool: -sink-buffer-edges).
-    u64 sink_buffer_edges = 0;
-
-    /// Pin pool worker threads to distinct CPUs for chunked/distributed
-    /// runs (pe::ThreadPool::pin_workers; tool: -pin-threads). Opt-in:
-    /// pinning is sticky for the pool's lifetime and helps once
-    /// chunk→worker affinity matters (see ChunkOptions::deal_granularity).
-    bool pin_threads = false;
-
-    /// Worker processes of the distributed backend (dist/runner.hpp):
-    /// `generate_distributed` forks this many ranks, each generating a
-    /// contiguous share of the canonical chunk decomposition in its own
-    /// address space with zero inter-worker communication. 1 = a single
-    /// (still forked) worker — useful as the identity baseline; the merged
-    /// output is byte-identical to `generate_chunked` for every value.
-    u64 num_processes = 1;
-
     /// Sequential sampling engine (sampling/sampling.hpp) used inside the
     /// ER family's chunks (tool: -sampler). v1 (default) is the reference
     /// stream most golden files and byte-identity sweeps lock. v2 is the
@@ -173,9 +143,14 @@ struct Result {
 /// survive a boundary: the TCP job frame of the net backend today, and the
 /// daemon's cache key / wire form on the ROADMAP. Two equal configs encode
 /// to identical bytes, so the encoding doubles as a content-address.
-/// Bump `kConfigEncodingVersion` whenever a field is added or reordered;
-/// `decode_config` rejects any other version rather than misreading fields.
-constexpr u64 kConfigEncodingVersion = 1;
+/// Every encoded field but two describes the graph or its chunk
+/// decomposition. The two exceptions, `max_buffered_bytes` and
+/// `spill_path`, change only memory use, but a worker (forked or TCP)
+/// runs the decoded config and nothing else, so they must travel with the
+/// job. Bump `kConfigEncodingVersion` whenever a field is added, removed
+/// or reordered; `decode_config` rejects any other version rather than
+/// misreading fields.
+constexpr u64 kConfigEncodingVersion = 2;
 
 inline void encode_config(std::vector<u8>& out, const Config& cfg) {
     bytes::put_u64(out, kConfigEncodingVersion);
@@ -195,15 +170,13 @@ inline void encode_config(std::vector<u8>& out, const Config& cfg) {
     bytes::put_u64(out, cfg.total_chunks);
     bytes::put_u64(out, cfg.max_buffered_bytes);
     bytes::put_string(out, cfg.spill_path);
-    bytes::put_u64(out, cfg.sink_buffer_edges);
-    bytes::put_u64(out, cfg.pin_threads ? 1 : 0);
-    bytes::put_u64(out, cfg.num_processes);
     bytes::put_u64(out, static_cast<u64>(cfg.sampler_version));
     bytes::put_u64(out, static_cast<u64>(cfg.edge_semantics));
     // trace_path / metrics_path are deliberately NOT encoded: telemetry
     // never changes the generated graph, and the encoding doubles as the
     // config's content-address — two runs differing only in observation
-    // must hash identically (and the committed codec corpus stays valid).
+    // must hash identically. A worker is told to record by the job frame
+    // (net::JobSpec::want_trace), not by these paths.
 }
 
 /// Bounds-checked decode of `encode_config`'s layout; advances `p`. Throws
@@ -239,18 +212,6 @@ inline Config decode_config(const u8*& p, const u8* end) {
     cfg.total_chunks       = bytes::get_u64(p, end);
     cfg.max_buffered_bytes = bytes::get_u64(p, end);
     cfg.spill_path         = bytes::get_string(p, end);
-    cfg.sink_buffer_edges  = bytes::get_u64(p, end);
-    const u64 pin          = bytes::get_u64(p, end);
-    if (pin > 1) {
-        // Encoded bytes double as the config's content-address, so decode
-        // must accept only the canonical encoding: a bool travels as 0 or 1,
-        // never as "any nonzero word" (two byte strings must not alias one
-        // config).
-        throw std::runtime_error("kagen: config carries non-canonical bool " +
-                                 std::to_string(pin));
-    }
-    cfg.pin_threads        = pin != 0;
-    cfg.num_processes      = bytes::get_u64(p, end);
     const u64 sampler      = bytes::get_u64(p, end);
     if (sampler > static_cast<u64>(SamplerVersion::v2)) {
         throw std::runtime_error("kagen: config carries unknown sampler version " +
@@ -286,11 +247,12 @@ inline const char* model_name(Model model) {
 
 /// Throws std::invalid_argument naming the offending field when `cfg`'s
 /// model parameters describe no graph: more G(n,m) edges than vertex pairs
-/// (counted in u128), a G(n,p) probability outside [0, 1], an RHG with
-/// gamma <= 2 or avg_deg <= 0 (hyp::Params' preconditions), or an R-MAT n
-/// beyond 2^63 (no power of two to round it up to). O(1); every
-/// entry point runs it before the first chunk or rank starts, because the
-/// generators' own asserts vanish in Release builds.
+/// (counted in u128), a G(n,p) probability outside [0, 1], a negative or
+/// NaN RGG radius, an RHG with gamma <= 2 or avg_deg <= 0 (hyp::Params'
+/// preconditions), a BA graph whose 2·n·d attachment positions overflow
+/// u64, or an R-MAT n beyond 2^63 (no power of two to round it up to).
+/// O(1); every entry point runs it before the first chunk or rank starts,
+/// because the generators' own asserts vanish in Release builds.
 inline void validate(const Config& cfg) {
     const auto fail = [&](const std::string& what) {
         throw std::invalid_argument(std::string("kagen: ") + model_name(cfg.model) +
@@ -320,6 +282,12 @@ inline void validate(const Config& cfg) {
                 fail("p = " + num(cfg.p) + " is not a probability in [0, 1]");
             }
             break;
+        case Model::Rgg2D:
+        case Model::Rgg3D:
+            if (!(cfg.r >= 0.0)) {
+                fail("r = " + num(cfg.r) + " must be a non-negative radius");
+            }
+            break;
         case Model::Rhg:
         case Model::RhgStreaming:
             if (!(cfg.gamma > 2.0)) {
@@ -327,6 +295,14 @@ inline void validate(const Config& cfg) {
             }
             if (!(cfg.avg_deg > 0.0)) {
                 fail("avg_deg = " + num(cfg.avg_deg) + " must be positive");
+            }
+            break;
+        case Model::Ba:
+            // Vertex v's i-th attachment resolves position 2·(v·d + i) + 1,
+            // so every position below 2·n·d must fit one u64.
+            if (u128{cfg.n} * cfg.ba_degree > (u128{1} << 63)) {
+                fail("ba_degree = " + std::to_string(cfg.ba_degree) + " with n = " +
+                     std::to_string(cfg.n) + " needs 2*n*d > 2^64 attachment positions");
             }
             break;
         case Model::Rmat:
@@ -569,8 +545,6 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
     opt.pool               = pool;
     opt.max_buffered_bytes = cfg.max_buffered_bytes;
     opt.spill_path         = cfg.spill_path;
-    opt.arena_slab_bytes   = cfg.arena_slab_bytes;
-    opt.pin_threads        = cfg.pin_threads;
     opt.deal_granularity   = chunk_deal_granularity(cfg);
     const ChunkStats stats = pe::run_chunked(
         opt,
@@ -598,8 +572,8 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
     return stats;
 }
 
-/// Multi-process distributed run (dist/runner.hpp): forks
-/// `opts.num_ranks` (default `cfg.num_processes`) worker processes, each
+/// Multi-process distributed run (dist/runner.hpp): forks `opts.num_ranks`
+/// (0 = 1) worker processes, each
 /// generating its contiguous share of the canonical chunk decomposition
 /// into a per-rank file — no inter-worker communication, only one report
 /// per worker back to the coordinator over a socketpair — then joins the
@@ -610,10 +584,7 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
 /// Throws with a descriptive message if any rank fails (no hang, no
 /// partial files). See DESIGN.md §8.
 inline dist::DistResult generate_distributed(const Config& cfg,
-                                             dist::DistOptions opts = {}) {
-    if (opts.num_ranks == 0) {
-        opts.num_ranks = cfg.num_processes != 0 ? cfg.num_processes : 1;
-    }
+                                             const dist::DistOptions& opts = {}) {
     return dist::run_distributed(cfg, opts);
 }
 

@@ -336,7 +336,6 @@ dist::DistResult coordinate(const Config& cfg, const NetOptions& opts,
                                                   report.stats.peak_buffered_bytes);
             result.spilled_chunks += report.stats.spilled_chunks;
             result.spilled_bytes += report.stats.spilled_bytes;
-            result.buffers_recycled += report.stats.buffers_recycled;
             result.ranks[r] = std::move(report);
         }
 

@@ -22,9 +22,12 @@
 /// enum, and that the payload is consumed exactly — trailing bytes are a
 /// protocol error, not padding.
 ///
-/// Version 2 added `JobSpec::want_trace` and the telemetry message; the
-/// strict hello means v1/v2 peers refuse each other up front instead of
-/// mis-framing mid-run.
+/// Version 2 added `JobSpec::want_trace` and the telemetry message.
+/// Version 3 dropped three config fields (config encoding v2) and the two
+/// chunk-arena slots of the report's run stats, which a worker now counts
+/// only in its metrics registry (`pe.arena.*`, shipped with telemetry).
+/// The strict hello means peers of different versions refuse each other up
+/// front instead of mis-framing mid-run.
 #pragma once
 
 #include <string>
@@ -37,7 +40,7 @@
 
 namespace kagen::net {
 
-constexpr u64 kProtocolVersion = 2;
+constexpr u64 kProtocolVersion = 3;
 
 enum class Msg : u64 {
     hello     = 1,

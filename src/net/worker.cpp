@@ -47,8 +47,7 @@ int run_net_worker(const std::string& endpoint_spec,
 }
 
 int run_worker_session(Socket& sock, const NetWorkerOptions& opt,
-                       const std::string& rank_file_prefix,
-                       const Config* inherited) {
+                       const std::string& rank_file_prefix) {
     // A coordinator that died mid-conversation must surface as an EPIPE
     // error, not kill the worker with SIGPIPE. MSG_NOSIGNAL covers frame
     // sends; the rank-file stream goes through plain write(2) in
@@ -97,8 +96,7 @@ int run_worker_session(Socket& sock, const NetWorkerOptions& opt,
         rj.threads      = job.threads;
         rj.degree_stats = job.degree_stats;
         rj.rank_path    = rank_path;
-        report = dist::execute_rank_job(inherited != nullptr ? *inherited : job.cfg,
-                                        rj);
+        report = dist::execute_rank_job(job.cfg, rj);
     } catch (const std::exception& e) {
         report.ok    = false;
         report.error = e.what();

@@ -26,11 +26,7 @@
 #include "common/types.hpp"
 #include "net/socket.hpp"
 
-namespace kagen {
-
-struct Config; // kagen.hpp
-
-namespace net {
+namespace kagen::net {
 
 struct NetWorkerOptions {
     std::string scratch_dir;       ///< rank-file location; empty = $TMPDIR
@@ -55,15 +51,11 @@ int run_net_worker(const std::string& endpoint_spec,
 
 /// Runs one worker session on the connected `sock` (see the file comment).
 /// The rank file, if the job asks for one, is `rank_file_prefix + <rank> +
-/// ".bin"`. `inherited` is set by a forked rank: the Config it shares with
-/// its coordinator by memory image, which then runs the job instead of the
-/// decoded one — equal on every encoded field, and it also carries the
-/// fields `encode_config` leaves out (arena slab size, trace and metrics
-/// paths); a TCP worker uses its local defaults for those. Same return and
-/// throw contract as `run_net_worker`.
+/// ".bin"`. The job runs the Config decoded from the job frame, on both
+/// transports: a forked rank ignores the copy it shares with its
+/// coordinator by memory image, so the encoding is the whole job contract.
+/// Same return and throw contract as `run_net_worker`.
 int run_worker_session(Socket& sock, const NetWorkerOptions& opts,
-                       const std::string& rank_file_prefix,
-                       const Config* inherited = nullptr);
+                       const std::string& rank_file_prefix);
 
-} // namespace net
-} // namespace kagen
+} // namespace kagen::net

@@ -11,11 +11,6 @@
 #include <stdexcept>
 #include <thread>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "obs/trace.hpp"
 #include "pe/arena.hpp"
 #include "sink/spill.hpp"
@@ -142,8 +137,6 @@ struct ThreadPool::Impl {
     u64 participants = 0;        // participants of the published job
     u64 generation   = 0;
     bool stop        = false;
-    bool pinned      = false;    // pin_workers already ran (idempotence)
-    u64 pinned_count = 0;
 
     void worker_loop(u64 index) {
         u64 seen = 0;
@@ -244,32 +237,6 @@ void ThreadPool::parallel_for(u64 num_tasks, u64 max_workers,
         impl_->participants = 0;
     }
     if (job.error) std::rethrow_exception(job.error);
-}
-
-u64 ThreadPool::pin_workers() {
-#ifdef __linux__
-    std::lock_guard<std::mutex> lock(impl_->m);
-    if (impl_->pinned) return impl_->pinned_count;
-    impl_->pinned = true;
-    const u64 hw  = std::max<u64>(std::thread::hardware_concurrency(), 1);
-    u64 pinned    = 0;
-    for (u64 i = 0; i < impl_->workers.size(); ++i) {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        // Worker i takes CPU (i+1) mod hw: CPU 0 stays with the calling
-        // participant, and on pools wider than the machine the assignment
-        // wraps (oversubscribed workers share cores either way).
-        CPU_SET(static_cast<int>((i + 1) % hw), &set);
-        if (pthread_setaffinity_np(impl_->workers[i].native_handle(),
-                                   sizeof(set), &set) == 0) {
-            ++pinned;
-        }
-    }
-    impl_->pinned_count = pinned;
-    return pinned;
-#else
-    return 0;
-#endif
 }
 
 ThreadPool& ThreadPool::global() {
@@ -575,7 +542,6 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
     workers = std::max<u64>(workers, 1);
     ThreadPool& pool = opt.pool != nullptr ? *opt.pool : ThreadPool::global();
 
-    if (opt.pin_threads) pool.pin_workers();
     const u64 granularity = std::max<u64>(opt.deal_granularity, 1);
     // Group boundaries live at *absolute* chunk-id multiples of the group
     // size (that is where the geometric models' Morton blocks start); a
@@ -591,6 +557,9 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
 
     obs::Registry& reg        = obs::Registry::global();
     obs::Histogram& edge_hist = reg.histogram("pe.chunk_edges");
+    // This run's chunk-arena deltas (multi-worker ordered runs only; an
+    // external arena carries warm slabs and counters across runs).
+    u64 slab_reuses = 0, slabs_reserved = 0, slab_chains = 0;
 
     const u64 start = obs::monotonic_now();
     if (!sink.ordered()) {
@@ -632,11 +601,9 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         // Recycling stays on in bounded mode too: released slabs decommit
         // their payload pages (arena.hpp), so retained capacity is no
         // longer invisible resident memory and the strict bound survives.
-        SlabArena local_arena(opt.arena_slab_bytes, /*populate=*/false,
+        SlabArena local_arena(/*slab_bytes=*/0,
                               /*decommit_on_release=*/opt.max_buffered_bytes != 0);
         SlabArena& arena = opt.arena != nullptr ? *opt.arena : local_arena;
-        // Stats are deltas: an external arena (ChunkOptions::arena) carries
-        // warm slabs and counters across runs.
         const u64 base_hits     = arena.freelist_hits();
         const u64 base_reserved = arena.slabs_reserved();
         const u64 base_chains   = arena.chains();
@@ -657,29 +624,24 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         stats.peak_buffered_bytes = delivery.peak_buffered_bytes();
         stats.spilled_chunks      = delivery.spilled_chunks();
         stats.spilled_bytes       = delivery.spilled_bytes();
-        stats.buffers_recycled    = arena.freelist_hits() - base_hits;
-        stats.buffers_allocated   = arena.slabs_reserved() - base_reserved;
-        stats.arena_chains        = arena.chains() - base_chains;
-        stats.arena_slab_bytes    = arena.slab_bytes();
+        slab_reuses               = arena.freelist_hits() - base_hits;
+        slabs_reserved            = arena.slabs_reserved() - base_reserved;
+        slab_chains               = arena.chains() - base_chains;
     }
     stats.seconds = static_cast<double>(obs::monotonic_now() - start) * 1e-9;
 
     // Mirror the per-run struct into the registry: `ChunkRunStats` stays the
     // thin per-run view, the named instruments are what snapshots, merges,
-    // and the `-metrics` report consume.
+    // and the `-metrics` report consume. The arena counters exist only here.
     reg.counter("pe.runs").add(1);
     reg.counter("pe.chunks").add(span);
     reg.counter("pe.spilled_chunks").add(stats.spilled_chunks);
     reg.counter("pe.spilled_bytes").add(stats.spilled_bytes);
     reg.counter("pe.peak_buffered_bytes", obs::MergeKind::max)
         .record_max(stats.peak_buffered_bytes);
-    reg.counter("pe.arena.freelist_hits").add(stats.buffers_recycled);
-    reg.counter("pe.arena.slabs_reserved").add(stats.buffers_allocated);
-    reg.counter("pe.arena.slab_bytes_reserved")
-        .add(stats.buffers_allocated * stats.arena_slab_bytes);
-    reg.counter("pe.arena.chains").add(stats.arena_chains);
-    reg.counter("pe.arena.slab_bytes", obs::MergeKind::max)
-        .record_max(stats.arena_slab_bytes);
+    reg.counter("pe.arena.freelist_hits").add(slab_reuses);
+    reg.counter("pe.arena.slabs_reserved").add(slabs_reserved);
+    reg.counter("pe.arena.chains").add(slab_chains);
     return stats;
 }
 

@@ -75,14 +75,6 @@ public:
     void parallel_for(u64 num_tasks, u64 max_workers, const std::function<void(u64)>& fn,
                       u64 deal_granularity = 1, u64 deal_phase = 0);
 
-    /// Pins each worker thread to a distinct CPU (round-robin over the
-    /// hardware set, leaving CPU 0 to the calling participant). Idempotent;
-    /// returns the number of workers pinned (0 when unsupported). Opt-in
-    /// via ChunkOptions::pin_threads — pinning helps once chunk→worker
-    /// affinity matters (a worker's groups stop migrating between cores) and is
-    /// a no-op burden otherwise, so it is never the default.
-    u64 pin_workers();
-
     /// Lazily constructed process-wide pool (hardware_concurrency threads).
     static ThreadPool& global();
 
@@ -128,20 +120,12 @@ struct ChunkOptions {
     u64 chunk_begin = 0;
     u64 chunk_end   = 0;
 
-    /// Pin pool workers to distinct CPUs before the run (see
-    /// ThreadPool::pin_workers). Opt-in; pinning a pool is sticky for the
-    /// pool's lifetime.
-    bool pin_threads = false;
-
-    /// Per-slab size of the chunk arena (pe/arena.hpp) backing the ordered
-    /// multi-worker path; 0 = SlabArena::kDefaultSlabBytes. Memory layout
-    /// only — the output stream is byte-identical for every value.
-    u64 arena_slab_bytes = 0;
-
-    /// External chunk arena to run on; null = a per-run pool-owned arena.
-    /// Passing one keeps slab mappings warm across runs (the steady-state
-    /// zero-allocation property then spans runs, not just chunks) — the
-    /// future daemon's mode, and what the allocation-gate test drives.
+    /// External chunk arena to run on; null = a per-run arena of
+    /// SlabArena::kDefaultSlabBytes slabs. Passing one keeps slab mappings
+    /// warm across runs (the steady-state zero-allocation property then
+    /// spans runs, not just chunks) — the future daemon's mode, and what
+    /// the allocation-gate test drives — and is how a caller picks another
+    /// slab size (tests force multi-slab chunks with 4 KiB slabs).
     SlabArena* arena = nullptr;
 
     /// Affinity-aware dispatch: each pool ticket covers a group of this
@@ -173,13 +157,9 @@ struct ChunkRunStats {
     u64 spilled_chunks = 0;      ///< chunks parked on disk
     u64 spilled_bytes  = 0;      ///< edge bytes written to the spill file
 
-    // Chunk-arena accounting (multi-worker ordered runs only; deltas of
-    // this run when an external arena was passed). A "buffer" is a slab of
-    // the chunk arena (pe/arena.hpp).
-    u64 buffers_recycled  = 0; ///< slab acquires served from the freelist
-    u64 buffers_allocated = 0; ///< slabs freshly reserved (mmap/fallback)
-    u64 arena_chains      = 0; ///< chunks that chained a second+ slab
-    u64 arena_slab_bytes  = 0; ///< per-slab size the run used
+    // The chunk arena's accounting (slab reuse, fresh slabs, chains) lives
+    // only in the metrics registry: run_chunked adds this run's deltas to
+    // the `pe.arena.*` counters (DESIGN.md §13).
 };
 
 /// Runs every canonical chunk through `fn` and streams the results into
@@ -187,11 +167,13 @@ struct ChunkRunStats {
 /// output for any thread count). With one effective worker the engine
 /// streams each chunk *directly* into the sink — canonical order is
 /// automatic, so no chunk is ever materialized (zero chunk buffers, zero
-/// copies; DESIGN.md §9). With several workers, completed chunks park in
-/// recycled pool buffers in RAM — or, past `max_buffered_bytes`, on disk —
-/// and a single designated drainer streams the contiguous ready prefix
-/// into the sink *outside* the bookkeeping lock, so producers never stall
-/// on sink I/O. Unordered sinks (`ordered() == false`) get concurrent
+/// copies; DESIGN.md §9). With several workers, each chunk is generated
+/// straight into a chain of arena slabs (pe/arena.hpp) and parks there —
+/// or, past `max_buffered_bytes`, on disk. A worker that finds the chunk
+/// at the delivery cursor ready becomes the single drainer (one CAS on a
+/// flag; there is no lock) and streams the contiguous ready prefix into
+/// the sink, while the other workers keep generating and never wait on
+/// sink I/O. Unordered sinks (`ordered() == false`) get concurrent
 /// delivery with O(buffer) memory per worker. The caller is responsible
 /// for `sink.finish()`.
 ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& sink);

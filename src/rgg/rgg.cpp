@@ -12,8 +12,9 @@ namespace {
 /// Largest cell depth that still keeps cell side >= r.
 u32 levels_for_radius(double r) {
     if (r >= 1.0) return 0;
+    // r == 0 gives +inf; 64 already exceeds every cap applied later.
     const double raw = std::floor(std::log2(1.0 / r));
-    return static_cast<u32>(std::max(0.0, raw));
+    return static_cast<u32>(std::clamp(raw, 0.0, 64.0));
 }
 
 /// Cap so the grid has O(n) cells even for tiny radii.
@@ -76,8 +77,12 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
     const double r_sq             = params.r * params.r;
     const u64 per_dim       = grid.cells_per_dim();
     // Halo width in cells: 1 when the cell side is >= r, wider otherwise.
-    const auto halo = static_cast<i64>(
-        std::ceil(params.r * static_cast<double>(per_dim)));
+    // Offsets past per_dim - 1 leave the grid from every cell, so the clamp
+    // (taken in double, before the cast) changes no edge; it keeps huge
+    // radii from looping over (2·halo+1)^D offsets or overflowing the cast.
+    const auto halo = static_cast<i64>(std::min(
+        std::ceil(params.r * static_cast<double>(per_dim)),
+        static_cast<double>(per_dim - 1)));
 
     auto is_local = [&](u64 cell) {
         const u64 chunk = cell >> shift;

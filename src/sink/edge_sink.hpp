@@ -13,10 +13,11 @@
 /// Emission goes through a small inline buffer, so the virtual `consume`
 /// dispatch is amortized over the buffer capacity — generator inner loops
 /// pay one predictable branch per edge, which benches show is within noise
-/// of direct `std::vector::push_back`. The capacity is constructor-tunable
-/// (kagen_tool: `-sink-buffer-edges`); the default of 4096 edges (64 KiB
-/// batches) measured within noise of 1024 on the bulk-write path while
-/// quartering the number of virtual dispatches — see EXPERIMENTS.md.
+/// of direct `std::vector::push_back`. The capacity is a constructor
+/// argument; every sink the library or the tool builds uses the default
+/// of 4096 edges (64 KiB batches), which measured within noise of 1024 on
+/// the bulk-write path while quartering the number of virtual dispatches
+/// — see EXPERIMENTS.md.
 ///
 /// Threading contract: a sink instance is single-writer. The chunked
 /// execution engine (pe/pe.hpp) gives each worker a private buffer and

@@ -70,8 +70,7 @@ TEST(SlabArena, ExhaustionFallsBackToHeapGracefully) {
     // Cap kernel-backed slabs at 1: the second acquire must take the heap
     // path and still behave like a slab end to end, including recycling
     // through the same freelist.
-    pe::SlabArena arena(4096, /*populate=*/false, /*decommit_on_release=*/false,
-                        /*max_mapped_slabs=*/1);
+    pe::SlabArena arena(4096, /*decommit_on_release=*/false, /*max_mapped_slabs=*/1);
     pe::Slab* a = arena.acquire();
     pe::Slab* b = arena.acquire();
 #ifdef __linux__
@@ -92,7 +91,7 @@ TEST(SlabArena, ExhaustionFallsBackToHeapGracefully) {
 }
 
 TEST(SlabArena, DecommitKeepsPayloadUsableAfterReuse) {
-    pe::SlabArena arena(4096, /*populate=*/false, /*decommit_on_release=*/true);
+    pe::SlabArena arena(4096, /*decommit_on_release=*/true);
     pe::Slab* s = arena.acquire();
     const u64 cap = s->capacity;
     for (u64 i = 0; i < cap; ++i) s->edges()[i] = Edge{i, i};
@@ -175,6 +174,30 @@ TEST(ChunkBufferChains, ArenaSinkEmitsInPlaceAcrossSlabBoundaries) {
 // Arena-on byte-identity sweep
 // ---------------------------------------------------------------------------
 
+/// `generate_chunked(cfg, pes, sink, threads, &pool)` on the caller's arena:
+/// the way to run the engine on slabs of another size than the default. The
+/// option mapping below copies the one in `generate_chunked` (kagen.hpp) and
+/// has to follow it; the sweep also runs `generate_chunked` itself on the
+/// default arena, so a drift between the two shows there.
+ChunkStats run_on_arena(const Config& cfg, u64 pes, EdgeSink& sink, u64 threads,
+                        pe::ThreadPool& pool, pe::SlabArena& arena) {
+    pe::ChunkOptions opt;
+    opt.num_pes            = pes;
+    opt.chunks_per_pe      = cfg.chunks_per_pe;
+    opt.total_chunks       = cfg.total_chunks;
+    opt.threads            = threads;
+    opt.pool               = &pool;
+    opt.max_buffered_bytes = cfg.max_buffered_bytes;
+    opt.arena              = &arena;
+    opt.deal_granularity   = chunk_deal_granularity(cfg);
+    return pe::run_chunked(
+        opt,
+        [&cfg](u64 chunk, u64 num_chunks, EdgeSink& chunk_sink) {
+            generate(cfg, chunk, num_chunks, chunk_sink);
+        },
+        sink);
+}
+
 // The single-worker run takes the direct-streaming path (no chunk buffers,
 // no arena — unchanged across the arena refactor), so it doubles as the
 // pre-arena baseline: every golden fixture pins that path, and this sweep
@@ -184,6 +207,7 @@ TEST(ChunkBufferChains, ArenaSinkEmitsInPlaceAcrossSlabBoundaries) {
 TEST(ArenaByteIdentity, SweepMatchesDirectStreamingBaseline) {
     constexpr u64 kTotalChunks = 10; // pinned: output independent of (P, K)
     pe::ThreadPool pool(2);          // 3 participants
+    pe::SlabArena arena(4096);       // force multi-slab chunks
 
     for (const auto semantics :
          {EdgeSemantics::as_generated, EdgeSemantics::exact_once}) {
@@ -197,7 +221,6 @@ TEST(ArenaByteIdentity, SweepMatchesDirectStreamingBaseline) {
             cfg.seed             = 33;
             cfg.total_chunks     = kTotalChunks;
             cfg.edge_semantics   = semantics;
-            cfg.arena_slab_bytes = 4096; // force multi-slab chunks
 
             MemorySink ref;
             generate_chunked(cfg, 1, ref, /*threads=*/1);
@@ -209,13 +232,19 @@ TEST(ArenaByteIdentity, SweepMatchesDirectStreamingBaseline) {
                     cfg.chunks_per_pe = k;
                     for (const u64 threads : {u64{1}, u64{3}}) {
                         MemorySink sink;
-                        generate_chunked(cfg, pes, sink, threads, &pool);
+                        run_on_arena(cfg, pes, sink, threads, pool, arena);
                         EXPECT_EQ(sink.take(), reference)
                             << "model=" << static_cast<int>(model)
                             << " semantics=" << static_cast<int>(semantics)
                             << " P=" << pes << " K=" << k
                             << " threads=" << threads;
                     }
+                    MemorySink default_arena;
+                    generate_chunked(cfg, pes, default_arena, /*threads=*/3, &pool);
+                    EXPECT_EQ(default_arena.take(), reference)
+                        << "default arena: model=" << static_cast<int>(model)
+                        << " semantics=" << static_cast<int>(semantics)
+                        << " P=" << pes << " K=" << k;
                 }
             }
         }
@@ -237,9 +266,9 @@ TEST(ArenaByteIdentity, SlabSizeNeverChangesOutput) {
     const EdgeList reference = ref.take();
 
     for (const u64 slab_bytes : {u64{0}, u64{4096}, u64{1} << 16}) {
-        cfg.arena_slab_bytes = slab_bytes;
+        pe::SlabArena arena(slab_bytes);
         MemorySink sink;
-        generate_chunked(cfg, 4, sink, /*threads=*/3, &pool);
+        run_on_arena(cfg, 4, sink, /*threads=*/3, pool, arena);
         EXPECT_EQ(sink.take(), reference) << "slab_bytes=" << slab_bytes;
     }
 }
@@ -261,10 +290,10 @@ TEST(ArenaByteIdentity, SpillWithTinySlabsMatchesBaseline) {
     generate_chunked(cfg, 4, ref, /*threads=*/1);
     const EdgeList reference = ref.take();
 
-    cfg.arena_slab_bytes   = 4096;
     cfg.max_buffered_bytes = 256; // nearly every out-of-order chunk spills
+    pe::SlabArena arena(4096, /*decommit_on_release=*/true);
     MemorySink sink;
-    const ChunkStats stats = generate_chunked(cfg, 4, sink, /*threads=*/3, &pool);
+    const ChunkStats stats = run_on_arena(cfg, 4, sink, /*threads=*/3, pool, arena);
     EXPECT_EQ(sink.take(), reference);
     EXPECT_LE(stats.peak_buffered_bytes,
               cfg.max_buffered_bytes +

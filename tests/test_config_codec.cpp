@@ -10,14 +10,18 @@
 ///   2. every single-bit flip of a valid encoding (must throw or decode —
 ///      and when it decodes, re-encoding must reproduce the mutated bytes,
 ///      i.e. the decode was faithful, not a lucky OOB read);
-///   3. a committed corpus (tests/corpus/config/*.bin): `ok_*` files must
-///      decode and re-encode byte-identically (the content-address
-///      property), `bad_*` files must throw with the expected reason.
+///   3. a committed corpus (tests/corpus/config/*.bin, encoding v2): `ok_*`
+///      files must decode and re-encode byte-identically (the
+///      content-address property), `bad_*` files must throw with the
+///      reason their name gives (kBadReasons below), so a file that starts
+///      failing for another reason — say, an older version word — fails
+///      the test instead of passing it by accident.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -63,9 +67,6 @@ Config rich_config() {
     cfg.total_chunks       = 64;
     cfg.max_buffered_bytes = 1 << 20;
     cfg.spill_path         = "/tmp/spill scratch.bin";
-    cfg.sink_buffer_edges  = 4096;
-    cfg.pin_threads        = true;
-    cfg.num_processes      = 4;
     cfg.sampler_version    = kagen::SamplerVersion::v2;
     cfg.edge_semantics     = kagen::EdgeSemantics::exact_once;
     return cfg;
@@ -129,8 +130,9 @@ TEST(ConfigCodec, HugeStringLengthRejectedWithoutOverflow) {
     Config cfg     = rich_config();
     cfg.spill_path = "";
     std::vector<u8> buf = encode(cfg);
-    // The empty string's length field is followed by exactly 5 u64 fields.
-    const std::size_t len_off = buf.size() - 6 * 8;
+    // The empty string's length field is followed by exactly 2 u64 fields
+    // (sampler version, edge semantics).
+    const std::size_t len_off = buf.size() - 3 * 8;
     for (int i = 0; i < 8; ++i) buf[len_off + static_cast<std::size_t>(i)] = 0xff;
     buf[len_off] = 0xf8;
     const u8* p   = buf.data();
@@ -167,6 +169,28 @@ std::vector<u8> read_file(const std::filesystem::path& path) {
                            std::istreambuf_iterator<char>());
 }
 
+/// Each committed `bad_*` file and a fragment of the message it must throw.
+/// The v2 layout, in u64 words: version, model, n, m, p, r, avg_deg, gamma,
+/// ba_degree, rmat_a, rmat_b, rmat_c, seed, chunks_per_pe, total_chunks,
+/// max_buffered_bytes, spill_path (length word + bytes), sampler_version,
+/// edge_semantics. Every bad file is ok_default.bin (152 bytes) with one
+/// defect, except bad_version_1, which is the v1 encoding of rich_config.
+const std::map<std::string, std::string> kBadReasons = {
+    {"bad_empty.bin", "truncated u64"},
+    {"bad_truncated_header.bin", "truncated u64"},
+    {"bad_truncated_mid.bin", "truncated u64"},
+    {"bad_truncated_tail.bin", "truncated u64"},
+    {"bad_version_0.bin", "encoding version 0 not supported"},
+    {"bad_version_1.bin", "encoding version 1 not supported"},
+    {"bad_version_3.bin", "encoding version 3 not supported"},
+    {"bad_model_12.bin", "unknown model id 12"},
+    {"bad_model_max.bin", "unknown model id 18446744073709551615"},
+    {"bad_huge_strlen.bin", "truncated string"},
+    {"bad_overlong_strlen.bin", "truncated string"},
+    {"bad_sampler_2.bin", "unknown sampler version 2"},
+    {"bad_semantics_2.bin", "unknown edge semantics 2"},
+};
+
 TEST(ConfigCodecCorpus, CommittedFilesBehaveByName) {
     const std::filesystem::path dir = CONFIG_CORPUS_DIR;
     ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
@@ -186,9 +210,17 @@ TEST(ConfigCodecCorpus, CommittedFilesBehaveByName) {
                 << name << " re-encode differs: not a canonical encoding";
         } else if (name.rfind("bad_", 0) == 0) {
             ++bad;
-            EXPECT_THROW((void)kagen::decode_config(p, end),
-                         std::runtime_error)
-                << name;
+            const auto reason = kBadReasons.find(name);
+            ASSERT_NE(reason, kBadReasons.end())
+                << name << " has no expected reason in kBadReasons";
+            try {
+                (void)kagen::decode_config(p, end);
+                ADD_FAILURE() << name << " decoded without error";
+            } catch (const std::runtime_error& e) {
+                EXPECT_NE(std::string(e.what()).find(reason->second), std::string::npos)
+                    << name << " threw '" << e.what() << "', want '"
+                    << reason->second << "'";
+            }
         } else {
             FAIL() << "corpus file " << name
                    << " must be named ok_* or bad_*";
@@ -197,7 +229,7 @@ TEST(ConfigCodecCorpus, CommittedFilesBehaveByName) {
     // The corpus must actually exist — an empty directory would silently
     // turn this test into a no-op.
     EXPECT_GE(ok, 2u);
-    EXPECT_GE(bad, 5u);
+    EXPECT_EQ(bad, kBadReasons.size()) << "a listed bad_* file is missing";
 }
 
 } // namespace

@@ -146,6 +146,13 @@ std::vector<Config> invalid_configs() {
     add(Model::RhgStreaming, [](Config& c) { c.gamma = 1.5; });
     add(Model::Rhg, [](Config& c) { c.avg_deg = -3.0; });
     add(Model::RhgStreaming, [](Config& c) { c.avg_deg = 0.0; });
+    add(Model::Rgg2D, [](Config& c) { c.r = -1.0; });
+    add(Model::Rgg3D,
+        [](Config& c) { c.r = std::numeric_limits<double>::quiet_NaN(); });
+    // 2·n·d attachment positions must fit one u64: n·d ≤ 2^63.
+    add(Model::Ba, [](Config& c) { c.n = 10; c.ba_degree = u64{10000000000000000000u}; });
+    add(Model::Ba, [](Config& c) { c.n = u64{1} << 32; c.ba_degree = (u64{1} << 31) + 1; });
+    add(Model::Ba, [](Config& c) { c.n = ~u64{0}; c.ba_degree = ~u64{0}; });
     return bad;
 }
 
@@ -155,6 +162,9 @@ const char* invalid_field(const Config& cfg) {
         case Model::GnmUndirected: return "m = ";
         case Model::GnpDirected:
         case Model::GnpUndirected: return "p = ";
+        case Model::Rgg2D:
+        case Model::Rgg3D: return "r = ";
+        case Model::Ba: return "ba_degree = ";
         default: return cfg.gamma > 2.0 ? "avg_deg = " : "gamma = ";
     }
 }
@@ -220,6 +230,22 @@ TEST(Validation, EdgeCasesStayAccepted) {
     Config rgg = small_config(Model::Rgg2D);
     rgg.r      = 0.0;
     EXPECT_NO_THROW(generate(rgg, 0, 2));
+    rgg.r = std::numeric_limits<double>::infinity(); // every pair is in range
+    rgg.n = 40;
+    EXPECT_EQ(pe::union_undirected(testing::per_pe(rgg, 3)).size(), 40u * 39u / 2u);
+    // BA: the largest n·d whose positions still fit, and d = 0, the empty
+    // graph (in Debug too: no assert guards it any more).
+    Config ba    = small_config(Model::Ba);
+    ba.n         = 2;
+    ba.ba_degree = u64{1} << 62; // n·d = 2^63, positions up to 2^64 - 1
+    EXPECT_NO_THROW(num_vertices(ba));
+    ba.n         = 50;
+    ba.ba_degree = 0;
+    for (const u64 size : {u64{1}, u64{4}}) {
+        for (u64 rank = 0; rank < size; ++rank) {
+            EXPECT_TRUE(generate(ba, rank, size).edges.empty());
+        }
+    }
 }
 
 TEST(GraphStats, CsrAndBfsOnKnownGraph) {

@@ -3,9 +3,8 @@
 // (byte-identical to sequential, recycling engaged — including in
 // bounded-memory mode, where released slabs decommit instead of the pool
 // switching off), ascending ticket dispatch (tasks start in canonical
-// order; a group runs whole on one thread), affinity-aware deal
-// granularity (every task exactly once, identical output), and worker
-// pinning.
+// order; a group runs whole on one thread), and affinity-aware deal
+// granularity (every task exactly once, identical output).
 // ctest label: pool (re-run under ASan in CI).
 #include <gtest/gtest.h>
 
@@ -18,6 +17,7 @@
 #include <vector>
 
 #include "kagen.hpp"
+#include "obs/metrics.hpp"
 #include "pe/arena.hpp"
 #include "pe/pe.hpp"
 #include "sink/sinks.hpp"
@@ -94,6 +94,11 @@ TEST(ArenaChunkBuffers, UntouchedBuffersHoldNoSlab) {
 // Recycled ordered delivery through pe::run_chunked
 // ---------------------------------------------------------------------------
 
+/// A `pe.arena.*` registry counter; run_chunked adds each run's delta.
+u64 arena_counter(const char* name) {
+    return obs::Registry::global().counter(name).value();
+}
+
 pe::ChunkFn chunk_fn() {
     return [](u64 chunk, u64 /*num_chunks*/, EdgeSink& sink) {
         for (const auto& e : some_edges(200 + (chunk * 53) % 300, chunk)) {
@@ -123,14 +128,17 @@ TEST(RecycledDelivery, MultiWorkerOutputMatchesSequentialAndRecycles) {
     for (int attempt = 0; attempt < 3 && recycled == 0; ++attempt) {
         pe::ChunkOptions opt = seq;
         opt.threads          = 4;
+        const u64 hits0      = arena_counter("pe.arena.freelist_hits");
+        const u64 reserved0  = arena_counter("pe.arena.slabs_reserved");
+        const u64 chains0    = arena_counter("pe.arena.chains");
         MemorySink sink;
-        const auto stats = pe::run_chunked(opt, chunk_fn(), sink);
+        pe::run_chunked(opt, chunk_fn(), sink);
         EXPECT_EQ(sink.take(), reference);
+        recycled           = arena_counter("pe.arena.freelist_hits") - hits0;
+        const u64 reserved = arena_counter("pe.arena.slabs_reserved") - reserved0;
         // Every chunk here fits one slab, so exactly one slab per chunk.
-        EXPECT_EQ(stats.buffers_recycled + stats.buffers_allocated, kChunks)
-            << "every chunk binds exactly one slab";
-        EXPECT_EQ(stats.arena_chains, 0u);
-        recycled = stats.buffers_recycled;
+        EXPECT_EQ(recycled + reserved, kChunks) << "every chunk binds exactly one slab";
+        EXPECT_EQ(arena_counter("pe.arena.chains"), chains0);
     }
     EXPECT_GT(recycled, 0u) << "arena never recycled a slab";
 }
@@ -167,31 +175,35 @@ TEST(RecycledDelivery, BoundedMemoryModeKeepsRecyclingAndPeakBound) {
 
     u64 recycled = 0;
     for (int attempt = 0; attempt < 3 && recycled == 0; ++attempt) {
+        const u64 hits0 = arena_counter("pe.arena.freelist_hits");
         MemorySink sink;
         const auto stats = pe::run_chunked(opt, chunk_fn(), sink);
         EXPECT_EQ(sink.take(), reference);
         EXPECT_LE(stats.peak_buffered_bytes,
                   opt.max_buffered_bytes + max_chunk_bytes)
             << "budget + one chunk bound violated";
-        recycled = stats.buffers_recycled;
+        recycled = arena_counter("pe.arena.freelist_hits") - hits0;
     }
     EXPECT_GT(recycled, 0u) << "bounded mode must keep slab recycling on";
 }
 
 TEST(RecycledDelivery, SingleWorkerStreamsWithoutChunkBuffers) {
     // workers == 1 takes the direct-streaming path: no chunk buffers at
-    // all, so both pool counters and the buffered-bytes peak stay zero.
+    // all, so the arena counters do not move and the buffered-bytes peak
+    // stays zero.
     pe::ThreadPool pool(3);
     pe::ChunkOptions opt;
     opt.num_pes      = 8;
     opt.total_chunks = 8;
     opt.threads      = 1;
     opt.pool         = &pool;
+    const u64 hits0     = arena_counter("pe.arena.freelist_hits");
+    const u64 reserved0 = arena_counter("pe.arena.slabs_reserved");
     MemorySink sink;
     const auto stats = pe::run_chunked(opt, chunk_fn(), sink);
     EXPECT_EQ(stats.workers, 1u);
-    EXPECT_EQ(stats.buffers_recycled, 0u);
-    EXPECT_EQ(stats.buffers_allocated, 0u);
+    EXPECT_EQ(arena_counter("pe.arena.freelist_hits"), hits0);
+    EXPECT_EQ(arena_counter("pe.arena.slabs_reserved"), reserved0);
     EXPECT_EQ(stats.peak_buffered_bytes, 0u);
     EXPECT_EQ(sink.edges().size(), [&] {
         u64 total = 0;
@@ -352,42 +364,6 @@ TEST(AffinityDeal, GeometricModelsRequestChunkGroupDeal) {
     cfg.model         = Model::Rgg3D;
     cfg.chunks_per_pe = 0;
     EXPECT_EQ(chunk_deal_granularity(cfg), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Worker pinning
-// ---------------------------------------------------------------------------
-
-TEST(PinWorkers, PinsOnceAndKeepsResultsCorrect) {
-    pe::ThreadPool pool(3);
-    const u64 pinned = pool.pin_workers();
-#ifdef __linux__
-    EXPECT_EQ(pinned, 3u);
-#endif
-    EXPECT_EQ(pool.pin_workers(), pinned) << "pin_workers must be idempotent";
-
-    std::vector<std::atomic<u64>> hits(50);
-    for (auto& h : hits) h.store(0);
-    pool.parallel_for(50, 0, [&](u64 t) { hits[t].fetch_add(1); });
-    for (u64 t = 0; t < 50; ++t) EXPECT_EQ(hits[t].load(), 1u);
-}
-
-TEST(PinWorkers, PinnedChunkedRunMatchesUnpinned) {
-    Config cfg;
-    cfg.model         = Model::GnmUndirected;
-    cfg.n             = 500;
-    cfg.m             = 2500;
-    cfg.seed          = 11;
-    cfg.chunks_per_pe = 3;
-
-    MemorySink plain;
-    generate_chunked(cfg, 4, plain);
-
-    cfg.pin_threads = true;
-    pe::ThreadPool pool(3); // private pool: pinning the global one is sticky
-    MemorySink pinned;
-    generate_chunked(cfg, 4, pinned, /*threads=*/4, &pool);
-    EXPECT_EQ(pinned.take(), plain.take());
 }
 
 } // namespace

@@ -56,6 +56,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RggCase{1000, 0.02, 16}, //
                       RggCase{200, 0.5, 4},    // r wider than a chunk: big halo
                       RggCase{100, 1.5, 3},    // r > 1: complete graph
+                      RggCase{100, 2.0, 4},    // r past the diagonal
+                      RggCase{100, 1e300, 5},  // r*r overflows to inf
                       RggCase{50, 0.001, 8},   // ultra sparse
                       RggCase{0, 0.1, 2},      // empty graph
                       RggCase{1, 0.1, 2}       // single vertex
@@ -67,7 +69,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RggCase{400, 0.1, 8},  //
                       RggCase{400, 0.1, 5},  // non-power-of-eight PEs
                       RggCase{800, 0.3, 16}, // halo spans chunks
-                      RggCase{100, 2.0, 3}   // complete graph
+                      RggCase{100, 2.0, 3},  // complete graph
+                      RggCase{100, 1e300, 9} // halo clamped to the grid
                       ));
 
 TEST(Rgg, EdgesRespectRadiusExactly) {
@@ -111,6 +114,15 @@ TEST(Rgg, CrossPeEdgesAppearOnBothOwners) {
         EXPECT_TRUE(sets[owner[e.first]].count(e));
         EXPECT_TRUE(sets[owner[e.second]].count(e));
     }
+}
+
+TEST(Rgg, ZeroRadiusGridFollowsDensity) {
+    // r = 0 makes log2(1 / r) infinite; the grid depth must be the density
+    // cap, as for any tiny radius, not whatever an out-of-range cast gives
+    // (one cell holding every point made r = 0 cost O(n^2) pair tests).
+    EXPECT_EQ(rgg::cell_levels<2>(4096, 0.0, 1), rgg::cell_levels<2>(4096, 1e-300, 1));
+    EXPECT_EQ(rgg::cell_levels<3>(4096, 0.0, 1), rgg::cell_levels<3>(4096, 1e-300, 1));
+    EXPECT_GT(rgg::cell_levels<2>(4096, 0.0, 1), 0u);
 }
 
 TEST(Rgg, DeterministicPerRank) {
